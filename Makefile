@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
+.PHONY: all build test qcheck-soak bench bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
 
 all: build
 
@@ -7,6 +7,13 @@ build:
 
 test:
 	dune runtest
+
+# Every qcheck property at its long count (QCHECK_LONG=1 multiplies
+# each runtime-heavy property's count by its long factor), on a fresh
+# random seed every run: QCHECK_SEED is deliberately left unpinned, so
+# seed luck cannot keep hiding a violation.
+qcheck-soak:
+	QCHECK_LONG=1 dune exec test/test_main.exe
 
 bench:
 	dune exec bench/main.exe
@@ -152,7 +159,7 @@ doc:
 	  echo "doc: odoc not installed, skipping"; \
 	fi
 
-ci: build test bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
+ci: build test qcheck-soak bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
 
 clean:
 	dune clean

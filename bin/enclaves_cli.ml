@@ -1,87 +1,56 @@
 (* Command-line interface to the Enclaves reproduction.
 
    Subcommands:
-   - [session]  run a scripted group session and print the trace
-   - [attack]   run the §2.3 attack matrix (optionally one attack)
-   - [verify]   run the model checker (§4-§5)
-   - [chaos]    sweep seeded fault plans against the recovery layer
-   - [churn]    soak the store-and-forward delivery queues under member churn
-   - [failover] kill the primary of a multi-manager group and report
-                warm/cold promotion, replication counters and lag
-   - [nemesis]  run the omni-fault soak (network + disk + insider + crash)
-                against the degraded-mode ladder
+   - [session]   run a scripted group session and print the trace
+   - [attack]    run the §2.3 attack matrix (optionally one attack)
+   - [verify]    run the model checker (§4-§5)
+   - [chaos]     sweep seeded fault plans against the recovery layer
+   - [churn]     soak the store-and-forward delivery queues under member churn
+   - [failover]  kill the primary of a multi-manager group and report
+                 warm/cold promotion, replication counters and lag
+   - [intrude]   run a seeded insider or wire-level framing campaign
+                 against the sentinel
+   - [calibrate] sweep the named sentinel configurations over every
+                 attack arm and a clean control (detection vs false
+                 positives)
+   - [nemesis]   run the omni-fault soak (network + disk + insider + crash)
+                 against the degraded-mode ladder
    - [crash-matrix] enumerate every journal crash point and check recovery
-   - [keys]     derive and fingerprint a long-term key (debug helper)
+   - [keys]      derive and fingerprint a long-term key (debug helper)
+
+   The six seeded soaks (chaos, churn, failover, intrude, calibrate,
+   nemesis) are presets over [Scenario]'s sweep runner, phases and
+   end-state checks.
 
    Run with: dune exec bin/enclaves_cli.exe -- <subcommand> --help *)
 
 open Cmdliner
+module D = Enclaves.Driver.Improved
+module S = Enclaves.Sentinel
+module Json = Scenario.Json
 
-(* --- minimal JSON emission (no dependency; the sweeps' numbers are
-   ints, floats, bools and flat counter tables) --- *)
+(* The soaks' options: a named value with a default, or a flag. *)
+let opt_arg c default name doc =
+  Arg.(value & opt c default & info [ name ] ~doc)
 
-module Json = struct
-  type t =
-    | Str of string
-    | Int of int
-    | Float of float
-    | Bool of bool
-    | Obj of (string * t) list
-    | Arr of t list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec render = function
-    | Str s -> "\"" ^ escape s ^ "\""
-    | Int n -> string_of_int n
-    | Float f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Printf.sprintf "%.1f" f
-        else Printf.sprintf "%g" f
-    | Bool b -> string_of_bool b
-    | Obj fields ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ render v) fields)
-        ^ "}"
-    | Arr items -> "[" ^ String.concat "," (List.map render items) ^ "]"
-
-  let counters named = Obj (List.map (fun (k, v) -> (k, Int v)) named)
-  let print j = print_endline (render j)
-end
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
 
 let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Emit one machine-readable JSON document on stdout instead of the \
-           human-readable per-seed report")
+  flag_arg "json"
+    "Emit one machine-readable JSON document on stdout instead of the \
+     human-readable per-seed report"
+
+(* [Printf.bprintf] for a run's text buffer, with Format's
+   pretty-printers. *)
+let ff b fmt = Format.kasprintf (Buffer.add_string b) fmt
 
 (* --- session --- *)
 
 let run_session members seed verbose audit protocol =
-  let directory =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
+  let directory = Scenario.directory members in
   let spacer () = print_endline "" in
   (match protocol with
   | `Improved ->
-      let module D = Enclaves.Driver.Improved in
       let d = D.create ~seed ~leader:"leader" ~directory () in
       List.iter
         (fun (name, _) ->
@@ -374,117 +343,10 @@ let verify_cmd =
       const run_verify $ joins_arg $ admin_arg $ nonces_arg $ keys_arg
       $ legacy_arg $ jobs_arg $ stream_arg $ max_states_arg)
 
-(* --- sentinel knobs (shared by chaos / intrude / calibrate) --- *)
-
-let sentinel_profile name =
-  let module S = Enclaves.Sentinel in
-  let d = S.default_config in
-  match name with
-  | "default" -> Some d
-  | "no-attribution" -> Some { d with S.attribution = false }
-  | "strict" -> Some { d with S.quarantine_at = 15.0; expel_at = 40.0 }
-  | "lenient" ->
-      Some { d with S.quarantine_at = 40.0; expel_at = 90.0; wire_discount = 0.1 }
-  | _ -> None
-
-let sentinel_profile_arg =
-  Arg.(
-    value & opt string "default"
-    & info [ "sentinel-profile" ] ~docv:"PROFILE"
-        ~doc:
-          "Sentinel tuning profile: default|strict|lenient|no-attribution. \
-           Per-knob \\$(b,--sn-*) flags override the profile's values.")
-
-let sn_wire_discount_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "sn-wire-discount" ]
-        ~doc:"Off-path evidence weight multiplier in [0,1]")
-
-let sn_rate_limit_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "sn-rate-limit-at" ] ~doc:"Score at which a peer is rate-limited")
-
-let sn_quarantine_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "sn-quarantine-at" ] ~doc:"Score at which a peer is quarantined")
-
-let sn_expel_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "sn-expel-at" ] ~doc:"Score at which a peer is expelled")
-
-let sn_half_life_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "sn-half-life-ms" ]
-        ~doc:"Quiet milliseconds that halve every suspicion score")
-
-let sn_corroborate_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "sn-corroborate-floor" ]
-        ~doc:
-          "Decayed on-path class score at which a class counts as live for \
-           the two-class corroboration rule (0 disables the gate)")
-
-let sn_no_attribution_arg =
-  Arg.(
-    value & flag
-    & info [ "sn-no-attribution" ]
-        ~doc:
-          "Disable injection-path attribution (score every frame at full \
-           weight against its claimed sender — the pre-attribution sentinel)")
-
-let sentinel_config_term =
-  let module S = Enclaves.Sentinel in
-  let build profile wire rl quar expel hl floor noattr =
-    let base =
-      match sentinel_profile profile with
-      | Some c -> c
-      | None ->
-          prerr_endline
-            ("unknown --sentinel-profile '" ^ profile
-           ^ "' (default|strict|lenient|no-attribution)");
-          exit 2
-    in
-    let c = base in
-    let c =
-      match wire with Some w -> { c with S.wire_discount = w } | None -> c
-    in
-    let c =
-      match rl with Some r -> { c with S.rate_limit_at = r } | None -> c
-    in
-    let c =
-      match quar with Some q -> { c with S.quarantine_at = q } | None -> c
-    in
-    let c = match expel with Some e -> { c with S.expel_at = e } | None -> c in
-    let c =
-      match hl with
-      | Some ms -> { c with S.half_life = Netsim.Vtime.of_ms ms }
-      | None -> c
-    in
-    let c =
-      match floor with
-      | Some f -> { c with S.corroborate_floor = f }
-      | None -> c
-    in
-    if noattr then { c with S.attribution = false } else c
-  in
-  Term.(
-    const build $ sentinel_profile_arg $ sn_wire_discount_arg
-    $ sn_rate_limit_arg $ sn_quarantine_arg $ sn_expel_arg $ sn_half_life_arg
-    $ sn_corroborate_arg $ sn_no_attribution_arg)
-
 (* --- chaos --- *)
 
 let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
-    crash_at restart_after cold torn short_write drop_fsync eio intrusion
-    sn_config json verbose =
-  let module D = Enclaves.Driver.Improved in
-  let module S = Enclaves.Sentinel in
+    crash_at restart_after cold torn short_write drop_fsync eio json verbose =
   let crashing = crash_at > 0.0 in
   (* Flag validation: a crash with no restart would leave the leader
      down for the rest of the run and every seed would "wedge" for a
@@ -505,11 +367,6 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
        bite the journal's disk; enable journalling with --crash-at SECONDS";
     exit 2
   end;
-  let directory =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
   let plan =
     Netsim.Faultplan.make
       ~default_link:
@@ -517,34 +374,31 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
       ()
   in
   let bound = Netsim.Vtime.of_s until_s in
-  let one seed =
-    let retry = if no_retry then None else Some D.default_retry in
-    let recovery = if crashing then Some D.default_recovery else None in
-    let storage_faults =
-      if faulty_disk then
-        Some
-          {
-            Store.Fault.none with
-            Store.Fault.torn_write = torn;
-            short_write;
-            drop_fsync;
-            eio;
-          }
-      else None
-    in
+  let one b seed =
     let d =
-      D.create ~seed ?retry ?recovery ?storage_faults
-        ?intrusion:(if intrusion then Some sn_config else None)
-        ~leader:"leader" ~directory ()
+      Scenario.chaos_run
+        ?retry:(if no_retry then None else Some D.default_retry)
+        ?recovery:(if crashing then Some D.default_recovery else None)
+        ?storage_faults:
+          (if faulty_disk then
+             Some
+               {
+                 Store.Fault.none with
+                 Store.Fault.torn_write = torn;
+                 short_write;
+                 drop_fsync;
+                 eio;
+               }
+           else None)
+        ?crash:
+          (if crashing then
+             Some
+               ( Int64.of_float (crash_at *. 1e6),
+                 Int64.of_float (restart_after *. 1e6),
+                 not cold )
+           else None)
+        ~plan ~directory:(Scenario.directory members) ~until:bound seed
     in
-    Netsim.Network.set_faultplan (D.net d) (Some plan);
-    List.iter (fun (n, _) -> D.join d n) directory;
-    if crashing then
-      D.schedule_leader_crash d
-        ~at:(Int64.of_float (crash_at *. 1e6))
-        ~restart_after:(Int64.of_float (restart_after *. 1e6))
-        ~warm:(not cold) ();
-    ignore (D.run ~until:bound d);
     (* With anti-entropy on, convergence additionally requires view
        agreement — that is what the digests are for. *)
     let converged = if crashing then D.view_converged d else D.converged d in
@@ -563,56 +417,32 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
       else bound
     in
     let r = D.retry_stats d in
-    let c = Netsim.Network.fault_counters (D.net d) in
-    let stats = Netsim.Stats.compute (Netsim.Network.trace (D.net d)) in
-    (* With the sentinel riding along, fault-plan damage (loss,
-       corruption, duplicates) must never read as an intrusion: a
-       clean-chaos run that quarantines an honest member is a false
-       positive and fails the seed. *)
-    let false_positives =
-      match D.sentinel d with
-      | Some sn ->
-          List.filter_map
-            (fun (n, _) ->
-              if S.level_rank (S.level sn n) >= S.level_rank S.Quarantined
-              then Some n
-              else None)
-            directory
-      | None -> []
-    in
-    if not json then begin
-      Printf.printf
-        "seed=%-3Ld %-9s t=%8.3fs  rtx: hs=%-3d keydist=%-3d admin=%-3d gc=%d \
-         resets=%d\n"
-        seed
-        (if converged then "CONVERGED" else "WEDGED")
-        (Int64.to_float join_time /. 1e6)
-        r.D.handshake_retransmits r.D.keydist_retransmits
-        r.D.admin_retransmits r.D.half_open_gcs r.D.session_resets;
-      if crashing then begin
-        Format.printf "         recovery: %a@." Netsim.Stats.pp_named
-          (D.recovery_counters d);
-        Format.printf "         storage:  %a@." Netsim.Stats.pp_named
-          (D.storage_counters d)
-      end;
-      if false_positives <> [] then
-        Printf.printf "         FALSE POSITIVE: quarantined %s\n"
-          (String.concat ", " false_positives);
-      if intrusion && verbose then
-        Format.printf "         sentinel: %a@." Netsim.Stats.pp_named
-          (D.sentinel_counters d);
-      if verbose then begin
-        Format.printf "         retry: %a@." Netsim.Stats.pp_named
-          (D.retry_counters d);
-        Format.printf "         faults: %a@." Netsim.Faultplan.pp_counters c;
-        Printf.printf "         drops: total=%d adv=%d unreg=%d fault=%d\n"
-          stats.Netsim.Stats.dropped stats.Netsim.Stats.dropped_by_adversary
-          stats.Netsim.Stats.dropped_unregistered
-          stats.Netsim.Stats.dropped_by_fault;
-        Format.printf "         wire: %a@." Netsim.Stats.pp stats
-      end
+    Printf.bprintf b
+      "seed=%-3Ld %-9s t=%8.3fs  rtx: hs=%-3d keydist=%-3d admin=%-3d gc=%d \
+       resets=%d\n"
+      seed
+      (if converged then "CONVERGED" else "WEDGED")
+      (Int64.to_float join_time /. 1e6)
+      r.D.handshake_retransmits r.D.keydist_retransmits r.D.admin_retransmits
+      r.D.half_open_gcs r.D.session_resets;
+    if crashing then begin
+      ff b "         recovery: %a@." Netsim.Stats.pp_named
+        (D.recovery_counters d);
+      ff b "         storage:  %a@." Netsim.Stats.pp_named
+        (D.storage_counters d)
     end;
-    let row =
+    if verbose then begin
+      let stats = Netsim.Stats.compute (Netsim.Network.trace (D.net d)) in
+      ff b "         retry: %a@." Netsim.Stats.pp_named (D.retry_counters d);
+      ff b "         faults: %a@." Netsim.Faultplan.pp_counters
+        (Netsim.Network.fault_counters (D.net d));
+      Printf.bprintf b "         drops: total=%d adv=%d unreg=%d fault=%d\n"
+        stats.Netsim.Stats.dropped stats.Netsim.Stats.dropped_by_adversary
+        stats.Netsim.Stats.dropped_unregistered
+        stats.Netsim.Stats.dropped_by_fault;
+      ff b "         wire: %a@." Netsim.Stats.pp stats
+    end;
+    ( converged,
       Json.Obj
         ([
            ("seed", Json.Int (Int64.to_int seed));
@@ -620,157 +450,96 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
            ("t_s", Json.Float (Int64.to_float join_time /. 1e6));
            ("retry", Json.counters (D.retry_counters d));
          ]
-        @ (if crashing then
-             [
-               ("recovery", Json.counters (D.recovery_counters d));
-               ("storage", Json.counters (D.storage_counters d));
-             ]
-           else [])
         @
-        if intrusion then
+        if crashing then
           [
-            ( "false_positives",
-              Json.Arr (List.map (fun n -> Json.Str n) false_positives) );
-            ("sentinel", Json.counters (D.sentinel_counters d));
+            ("recovery", Json.counters (D.recovery_counters d));
+            ("storage", Json.counters (D.storage_counters d));
           ]
-        else [])
-    in
-    (converged && false_positives = [], row)
+        else []) )
   in
-  let seed_list = List.init seeds (fun i -> Int64.of_int (i + 1)) in
-  if not json then
-    Printf.printf
-      "chaos: %d members, loss=%.0f%% corrupt=%.0f%% dup=%.0f%% spikes=%.0f%% \
-       retry=%b bound=%ds%s\n"
-      members (100. *. loss) (100. *. corrupt) (100. *. duplicate)
-      (100. *. spike_prob) (not no_retry) until_s
-      (if crashing then
-         Printf.sprintf " crash@%.1fs restart+%.1fs (%s)" crash_at
-           restart_after
-           (if cold then "cold" else "warm")
-       else "");
-  let results = List.map one seed_list in
-  let ok = List.length (List.filter fst results) in
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "chaos");
-           ("members", Json.Int members);
-           ("loss", Json.Float loss);
-           ("corrupt", Json.Float corrupt);
-           ("duplicate", Json.Float duplicate);
-           ("spikes", Json.Float spike_prob);
-           ("retry", Json.Bool (not no_retry));
-           ("runs", Json.Arr (List.map snd results));
-           ( "summary",
-             Json.Obj
-               [ ("converged", Json.Int ok); ("seeds", Json.Int seeds) ] );
-         ])
-  else Printf.printf "\n%d/%d seeds converged\n" ok seeds;
-  if ok = seeds then 0 else 1
+  Scenario.sweep ~command:"chaos" ~json
+    ~params:
+      [
+        ("members", Json.Int members);
+        ("loss", Json.Float loss);
+        ("corrupt", Json.Float corrupt);
+        ("duplicate", Json.Float duplicate);
+        ("spikes", Json.Float spike_prob);
+        ("retry", Json.Bool (not no_retry));
+      ]
+    ~header:
+      (Printf.sprintf
+         "chaos: %d members, loss=%.0f%% corrupt=%.0f%% dup=%.0f%% \
+          spikes=%.0f%% retry=%b bound=%ds%s\n"
+         members (100. *. loss) (100. *. corrupt) (100. *. duplicate)
+         (100. *. spike_prob) (not no_retry) until_s
+         (if crashing then
+            Printf.sprintf " crash@%.1fs restart+%.1fs (%s)" crash_at
+              restart_after
+              (if cold then "cold" else "warm")
+          else ""))
+    ~summary:Scenario.converged
+    one (Scenario.seeds_from 1L seeds)
 
 let chaos_members_arg =
   Arg.(value & opt int 5 & info [ "members"; "n" ] ~doc:"Number of members")
 
-let chaos_seeds_arg =
-  Arg.(value & opt int 20 & info [ "seeds" ] ~doc:"Sweep seeds 1..N")
+let seeds_arg n = opt_arg Arg.int n "seeds" "Sweep seeds 1..N"
 
-let loss_arg =
-  Arg.(value & opt float 0.20 & info [ "loss" ] ~doc:"Per-frame loss probability")
+let loss_arg = opt_arg Arg.float 0.20 "loss" "Per-frame loss probability"
 
 let corrupt_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "corrupt" ] ~doc:"Per-frame bit-flip probability")
+  opt_arg Arg.float 0.0 "corrupt" "Per-frame bit-flip probability"
 
 let duplicate_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "duplicate" ] ~doc:"Per-frame duplication probability")
+  opt_arg Arg.float 0.0 "duplicate" "Per-frame duplication probability"
 
 let spike_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "spikes" ] ~doc:"Per-frame latency-spike probability")
+  opt_arg Arg.float 0.0 "spikes" "Per-frame latency-spike probability"
 
-let until_arg =
-  Arg.(
-    value & opt int 30
-    & info [ "until" ] ~doc:"Virtual-time bound in seconds per run")
+let until_arg n =
+  opt_arg Arg.int n "until" "Virtual-time bound in seconds per run"
 
 let no_retry_arg =
-  Arg.(
-    value & flag
-    & info [ "no-retry" ]
-        ~doc:"Disable the recovery layer (control runs; expect wedges)")
+  flag_arg "no-retry" "Disable the recovery layer (control runs; expect wedges)"
 
 let crash_at_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "crash-at" ]
-        ~doc:
-          "Crash the leader at this virtual time (seconds); 0 disables. \
-           Enables journalling and view anti-entropy.")
+  opt_arg Arg.float 0.0 "crash-at"
+    "Crash the leader at this virtual time (seconds); 0 disables. Enables \
+     journalling and view anti-entropy."
 
 let restart_after_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "restart-after" ]
-        ~doc:
-          "Restart the leader this long after the crash (seconds). \
-           Required whenever --crash-at is given.")
+  opt_arg Arg.(some float) None "restart-after"
+    "Restart the leader this long after the crash (seconds). Required \
+     whenever --crash-at is given."
 
 let cold_arg =
-  Arg.(
-    value & flag
-    & info [ "cold" ]
-        ~doc:
-          "Restart cold (discard the journal) instead of warm — the \
-           control arm for recovery experiments. The restarted leader \
-           still broadcasts authenticated ColdRestart beacons so members \
-           rejoin without waiting out the anti-entropy watchdog.")
+  flag_arg "cold"
+    "Restart cold (discard the journal) instead of warm — the control arm \
+     for recovery experiments. The restarted leader still broadcasts \
+     authenticated ColdRestart beacons so members rejoin without waiting out \
+     the anti-entropy watchdog."
 
 let torn_fault_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "torn" ]
-        ~doc:
-          "Per-write probability that only a byte-prefix of a journal \
-           write silently lands on disk (requires --crash-at)")
+  opt_arg Arg.float 0.0 "torn"
+    "Per-write probability that only a byte-prefix of a journal write \
+     silently lands on disk (requires --crash-at)"
 
 let short_write_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "short-write" ]
-        ~doc:
-          "Per-write probability of a short write: a prefix lands and the \
-           write raises a transient EIO (requires --crash-at)")
+  opt_arg Arg.float 0.0 "short-write"
+    "Per-write probability of a short write: a prefix lands and the write \
+     raises a transient EIO (requires --crash-at)"
 
 let drop_fsync_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "drop-fsync" ]
-        ~doc:
-          "Per-fsync probability the fsync is silently skipped, so the \
-           bytes die with a later crash (requires --crash-at)")
+  opt_arg Arg.float 0.0 "drop-fsync"
+    "Per-fsync probability the fsync is silently skipped, so the bytes die \
+     with a later crash (requires --crash-at)"
 
 let eio_fault_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "eio" ]
-        ~doc:
-          "Per-operation probability of a transient EIO with no effect; \
-           absorbed by the journal's bounded retry (requires --crash-at)")
-
-let chaos_intrusion_arg =
-  Arg.(
-    value & flag
-    & info [ "intrusion" ]
-        ~doc:
-          "Run the sentinel alongside the fault plan and fail any seed that \
-           quarantines an honest member — the false-positive control for \
-           sentinel calibration. Tune with --sentinel-profile / --sn-*.")
+  opt_arg Arg.float 0.0 "eio"
+    "Per-operation probability of a transient EIO with no effect; absorbed by \
+     the journal's bounded retry (requires --crash-at)"
 
 let chaos_cmd =
   let doc =
@@ -778,22 +547,18 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run_chaos $ chaos_members_arg $ chaos_seeds_arg $ loss_arg
-      $ corrupt_arg $ duplicate_arg $ spike_arg $ until_arg $ no_retry_arg
+      const run_chaos $ chaos_members_arg $ seeds_arg 20 $ loss_arg
+      $ corrupt_arg $ duplicate_arg $ spike_arg $ until_arg 30 $ no_retry_arg
       $ crash_at_arg $ restart_after_arg $ cold_arg $ torn_fault_arg
-      $ short_write_arg $ drop_fsync_arg $ eio_fault_arg
-      $ chaos_intrusion_arg $ sentinel_config_term $ json_arg $ verbose_arg)
+      $ short_write_arg $ drop_fsync_arg $ eio_fault_arg $ json_arg
+      $ verbose_arg)
 
 (* --- failover --- *)
 
 let run_failover members n_managers seeds loss kill_at partition_at heal_after
     repl_lag_ms until_s cold json verbose =
   let module FO = Enclaves.Failover in
-  let directory =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
+  let directory = Scenario.directory members in
   let manager_names = List.init n_managers (fun i -> Printf.sprintf "m%d" i) in
   let config = { FO.default_config with FO.warm_failover = not cold } in
   (* --repl-lag delays only the manager↔manager links (a guaranteed
@@ -839,142 +604,103 @@ let run_failover members n_managers seeds loss kill_at partition_at heal_after
     Netsim.Faultplan.make ~default_link:(Netsim.Faultplan.lossy_link loss)
       ~links ~partitions ()
   in
-  let one seed =
+  let one b seed =
     let t = FO.create ~seed ~config ~managers:manager_names ~directory () in
     Netsim.Network.set_faultplan (FO.net t) (Some plan);
     FO.start t;
     if kill_at > 0.0 then
       FO.crash_primary_at t (Int64.of_float (kill_at *. 1e6));
     ignore (FO.run ~until:(Netsim.Vtime.of_s until_s) t);
-    let connected = FO.connected_members t in
-    let ok = List.length connected = members in
-    if not json then begin
-      Printf.printf
-        "seed=%-3Ld %-9s connected=%d/%d primary=%s failovers=%d failbacks=%d \
-         demotions=%d\n"
-        seed
-        (if ok then "CONVERGED" else "WEDGED")
-        (List.length connected) members
-        (match FO.primary t with Some p -> p | None -> "(none)")
-        (FO.failovers t) (FO.failbacks t) (FO.demotions t);
-      Format.printf "         replication: %a@." Netsim.Stats.pp_named
-        (Netsim.Stats.replication_named (FO.replication_stats t));
-      if verbose then begin
-        let pp_pairs fmt l =
-          List.iter (fun (b, v) -> Format.fprintf fmt " %s=%Ld" b v) l
-        in
-        Format.printf "         lag (records):%a@." pp_pairs
-          (List.map
-             (fun (b, l) -> (b, Int64.of_int l))
-             (FO.replication_lag t));
-        Format.printf "         silence (µs): %a@." pp_pairs
-          (FO.replication_silence t)
-      end
+    let connected = List.length (FO.connected_members t) in
+    let ok = connected = members in
+    let primary = match FO.primary t with Some p -> p | None -> "" in
+    let replication =
+      Netsim.Stats.replication_named (FO.replication_stats t)
+    in
+    Printf.bprintf b
+      "seed=%-3Ld %-9s connected=%d/%d primary=%s failovers=%d failbacks=%d \
+       demotions=%d\n"
+      seed
+      (if ok then "CONVERGED" else "WEDGED")
+      connected members
+      (if primary = "" then "(none)" else primary)
+      (FO.failovers t) (FO.failbacks t) (FO.demotions t);
+    ff b "         replication: %a@." Netsim.Stats.pp_named replication;
+    if verbose then begin
+      let pp_pairs fmt l =
+        List.iter (fun (b, v) -> Format.fprintf fmt " %s=%Ld" b v) l
+      in
+      ff b "         lag (records):%a@." pp_pairs
+        (List.map (fun (b, l) -> (b, Int64.of_int l)) (FO.replication_lag t));
+      ff b "         silence (µs): %a@." pp_pairs (FO.replication_silence t)
     end;
-    let row =
+    ( ok,
       Json.Obj
         [
           ("seed", Json.Int (Int64.to_int seed));
           ("converged", Json.Bool ok);
-          ("connected", Json.Int (List.length connected));
-          ( "primary",
-            Json.Str (match FO.primary t with Some p -> p | None -> "") );
+          ("connected", Json.Int connected);
+          ("primary", Json.Str primary);
           ("failovers", Json.Int (FO.failovers t));
           ("failbacks", Json.Int (FO.failbacks t));
           ("demotions", Json.Int (FO.demotions t));
-          ( "replication",
-            Json.counters
-              (Netsim.Stats.replication_named (FO.replication_stats t)) );
-        ]
-    in
-    (ok, row)
+          ("replication", Json.counters replication);
+        ] )
   in
-  if not json then
-    Printf.printf
-      "failover: %d members, %d managers, loss=%.0f%%%s%s repl-lag=%dms \
-       bound=%ds (%s)\n"
-      members n_managers (100. *. loss)
-      (if kill_at > 0.0 then Printf.sprintf " kill-primary@%.1fs" kill_at
-       else "")
-      (if partition_at > 0.0 then
-         Printf.sprintf " partition-primary@%.1fs heal-after=%.1fs"
-           partition_at heal_after
-       else "")
-      repl_lag_ms until_s
-      (if cold then "cold baseline" else "warm");
-  let seed_list = List.init seeds (fun i -> Int64.of_int (i + 1)) in
-  let results = List.map one seed_list in
-  let ok = List.length (List.filter fst results) in
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "failover");
-           ("members", Json.Int members);
-           ("managers", Json.Int n_managers);
-           ("loss", Json.Float loss);
-           ("kill_primary_at_s", Json.Float kill_at);
-           ("warm", Json.Bool (not cold));
-           ("runs", Json.Arr (List.map snd results));
-           ( "summary",
-             Json.Obj
-               [ ("converged", Json.Int ok); ("seeds", Json.Int seeds) ] );
-         ])
-  else Printf.printf "\n%d/%d seeds converged\n" ok seeds;
-  if ok = seeds then 0 else 1
+  Scenario.sweep ~command:"failover" ~json
+    ~params:
+      [
+        ("members", Json.Int members);
+        ("managers", Json.Int n_managers);
+        ("loss", Json.Float loss);
+        ("kill_primary_at_s", Json.Float kill_at);
+        ("warm", Json.Bool (not cold));
+      ]
+    ~header:
+      (Printf.sprintf
+         "failover: %d members, %d managers, loss=%.0f%%%s%s repl-lag=%dms \
+          bound=%ds (%s)\n"
+         members n_managers (100. *. loss)
+         (if kill_at > 0.0 then Printf.sprintf " kill-primary@%.1fs" kill_at
+          else "")
+         (if partition_at > 0.0 then
+            Printf.sprintf " partition-primary@%.1fs heal-after=%.1fs"
+              partition_at heal_after
+          else "")
+         repl_lag_ms until_s
+         (if cold then "cold baseline" else "warm"))
+    ~summary:Scenario.converged
+    one (Scenario.seeds_from 1L seeds)
 
 let fo_managers_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "managers" ] ~doc:"Number of managers in the succession")
+  opt_arg Arg.int 3 "managers" "Number of managers in the succession"
 
 let kill_primary_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "kill-primary-at" ]
-        ~doc:
-          "Fail-stop the current primary at this virtual time (seconds); \
-           0 disables the kill (liveness-only run)")
+  opt_arg Arg.float 1.0 "kill-primary-at"
+    "Fail-stop the current primary at this virtual time (seconds); 0 disables \
+     the kill (liveness-only run)"
 
 let partition_primary_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "partition-primary-at" ]
-        ~doc:
-          "Cut the initial primary off from every other node at this \
-           virtual time (seconds); 0 disables the partition. Combine with \
-           $(b,--heal-after) to exercise the post-heal demotion path")
+  opt_arg Arg.float 0.0 "partition-primary-at"
+    "Cut the initial primary off from every other node at this virtual time \
+     (seconds); 0 disables the partition. Combine with $(b,--heal-after) to \
+     exercise the post-heal demotion path"
 
 let heal_after_arg =
-  Arg.(
-    value & opt float 2.5
-    & info [ "heal-after" ]
-        ~doc:
-          "Heal the $(b,--partition-primary-at) cut after this many \
-           (virtual) seconds, forcing the stale primary to meet its \
-           successor's higher term and demote")
+  opt_arg Arg.float 2.5 "heal-after"
+    "Heal the $(b,--partition-primary-at) cut after this many (virtual) \
+     seconds, forcing the stale primary to meet its successor's higher term \
+     and demote"
 
 let repl_lag_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "repl-lag" ]
-        ~doc:
-          "Extra latency (milliseconds) on every manager-to-manager link, \
-           so backups replicate behind the member-facing traffic")
-
-let fo_until_arg =
-  Arg.(
-    value & opt int 15
-    & info [ "until" ] ~doc:"Virtual-time bound in seconds per run")
+  opt_arg Arg.int 0 "repl-lag"
+    "Extra latency (milliseconds) on every manager-to-manager link, so \
+     backups replicate behind the member-facing traffic"
 
 let fo_cold_arg =
-  Arg.(
-    value & flag
-    & info [ "cold" ]
-        ~doc:
-          "Disable warm promotion: the successor always cold-restarts and \
-           members re-handshake — the baseline warm failover is measured \
-           against")
+  flag_arg "cold"
+    "Disable warm promotion: the successor always cold-restarts and members \
+     re-handshake — the baseline warm failover is measured against"
 
 let failover_cmd =
   let doc =
@@ -984,8 +710,8 @@ let failover_cmd =
   Cmd.v (Cmd.info "failover" ~doc)
     Term.(
       const run_failover $ chaos_members_arg $ fo_managers_arg
-      $ chaos_seeds_arg $ loss_arg $ kill_primary_arg $ partition_primary_arg
-      $ heal_after_arg $ repl_lag_arg $ fo_until_arg $ fo_cold_arg $ json_arg
+      $ seeds_arg 20 $ loss_arg $ kill_primary_arg $ partition_primary_arg
+      $ heal_after_arg $ repl_lag_arg $ until_arg 15 $ fo_cold_arg $ json_arg
       $ verbose_arg)
 
 (* --- crash-matrix --- *)
@@ -1060,7 +786,6 @@ let crash_matrix_cmd =
 
 let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
     stale json verbose =
-  let module D = Enclaves.Driver.Improved in
   (* Flag validation: reject configurations whose failure mode would be
      trivial (nothing churns, or everything wedges) loudly instead. *)
   if members < 2 then begin
@@ -1085,11 +810,7 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
     prerr_endline "churn: --rounds and --seeds must be positive";
     exit 2
   end;
-  let directory =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
+  let directory = Scenario.directory members in
   let policy =
     {
       Enclaves.Delivery.width = epoch_window;
@@ -1109,8 +830,10 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
     }
   in
   let round_s = 4 in
-  let rekeys_total = ref 0 in
-  let one seed =
+  let churn_end = 5 + (rounds * round_s) in
+  (* Rekeys every 2s age the queued entries against the window. *)
+  let rekeys_total = (churn_end - 5) / 2 in
+  let one b seed =
     let rng = Prng.Splitmix.create seed in
     let d =
       D.create ~seed ~retry:D.default_retry ~recovery ~delivery:policy
@@ -1123,14 +846,11 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
     in
     Netsim.Network.set_faultplan (D.net d) (Some plan);
     List.iter (fun (n, _) -> D.join d n) directory;
-    ignore (D.run ~until:(Netsim.Vtime.of_s 5) d);
-    let churn_end = 5 + (rounds * round_s) in
-    (* Rekeys every 2s age the queued entries against the window. *)
+    Scenario.run_until d 5;
     ignore
       (D.start_periodic_rekey d
          ~period:(Netsim.Vtime.of_s 2)
          ~until:(Netsim.Vtime.of_s churn_end) ());
-    rekeys_total := (churn_end - 5) / 2;
     let hwm = ref 0 and evictions = ref 0 in
     for r = 1 to rounds do
       List.iter
@@ -1143,14 +863,13 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
         directory;
       let t0 = 5 + ((r - 1) * round_s) in
       for s = 1 to round_s do
-        ignore (D.run ~until:(Netsim.Vtime.of_s (t0 + s)) d);
+        Scenario.run_until d (t0 + s);
         hwm := max !hwm (D.total_queue_depth d)
       done
     done;
     (* Heal: stop churning, let the watchdogs re-admit everyone and the
        queues drain. *)
-    ignore (D.run ~until:(Netsim.Vtime.of_s (churn_end + 25)) d);
-    let stats = D.delivery_stats d in
+    Scenario.run_until d (churn_end + 25);
     let member_rows =
       List.map (fun (n, _) -> (n, D.member d n)) directory
     in
@@ -1178,29 +897,25 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
     in
     (* Bounded depth: each eviction parks at most the notices plus one
        record per rekey fired while it was away. *)
-    let depth_bound = members * (!rekeys_total + 4) in
+    let depth_bound = members * (rekeys_total + 4) in
     let bounded = !hwm <= depth_bound in
     let drained =
       D.total_queue_depth d = 0 && D.offline_members d = []
     in
     let converged = D.view_converged d in
     let ok = no_dup && no_leak && bounded && drained && converged in
-    if not json then begin
-      Printf.printf
-        "seed=%-3Ld %-9s evictions=%-3d hwm=%-3d dup=%b leak=%b drained=%b \
-         bounded=%b\n"
-        seed
-        (if ok then "CONVERGED" else "WEDGED")
-        !evictions !hwm (not no_dup) (not no_leak) drained bounded;
-      Format.printf "         delivery: %a@." Netsim.Stats.pp_named
-        (D.delivery_counters d);
-      if verbose then begin
-        Format.printf "         recovery: %a@." Netsim.Stats.pp_named
-          (D.recovery_counters d);
-        ignore stats
-      end
-    end;
-    let row =
+    Printf.bprintf b
+      "seed=%-3Ld %-9s evictions=%-3d hwm=%-3d dup=%b leak=%b drained=%b \
+       bounded=%b\n"
+      seed
+      (if ok then "CONVERGED" else "WEDGED")
+      !evictions !hwm (not no_dup) (not no_leak) drained bounded;
+    ff b "         delivery: %a@." Netsim.Stats.pp_named
+      (D.delivery_counters d);
+    if verbose then
+      ff b "         recovery: %a@." Netsim.Stats.pp_named
+        (D.recovery_counters d);
+    ( ok,
       Json.Obj
         [
           ("seed", Json.Int (Int64.to_int seed));
@@ -1212,83 +927,55 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
           ("drained", Json.Bool drained);
           ("bounded", Json.Bool bounded);
           ("delivery", Json.counters (D.delivery_counters d));
-        ]
-    in
-    (ok, row)
+        ] )
   in
-  if not json then
-    Printf.printf
-      "churn: %d members, rate=%.0f%%/round, window=%d, %d rounds, \
-       loss=%.0f%% dup=%.0f%% stale=%s\n"
-      members (100. *. churn_rate) epoch_window rounds (100. *. loss)
-      (100. *. duplicate)
-      (if stale then "deliver" else "reject");
-  let seed_list = List.init seeds (fun i -> Int64.add seed (Int64.of_int i)) in
-  let results = List.map one seed_list in
-  let ok = List.length (List.filter fst results) in
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "churn");
-           ("members", Json.Int members);
-           ("churn_rate", Json.Float churn_rate);
-           ("epoch_window", Json.Int epoch_window);
-           ("rounds", Json.Int rounds);
-           ("loss", Json.Float loss);
-           ("duplicate", Json.Float duplicate);
-           ("stale_policy", Json.Str (if stale then "deliver" else "reject"));
-           ("runs", Json.Arr (List.map snd results));
-           ( "summary",
-             Json.Obj
-               [ ("converged", Json.Int ok); ("seeds", Json.Int seeds) ] );
-         ])
-  else
-    Printf.printf "\n%d/%d seeds converged with clean delivery\n" ok seeds;
-  if ok = seeds then 0 else 1
+  let stale_policy = if stale then "deliver" else "reject" in
+  Scenario.sweep ~command:"churn" ~json
+    ~params:
+      [
+        ("members", Json.Int members);
+        ("churn_rate", Json.Float churn_rate);
+        ("epoch_window", Json.Int epoch_window);
+        ("rounds", Json.Int rounds);
+        ("loss", Json.Float loss);
+        ("duplicate", Json.Float duplicate);
+        ("stale_policy", Json.Str stale_policy);
+      ]
+    ~header:
+      (Printf.sprintf
+         "churn: %d members, rate=%.0f%%/round, window=%d, %d rounds, \
+          loss=%.0f%% dup=%.0f%% stale=%s\n"
+         members (100. *. churn_rate) epoch_window rounds (100. *. loss)
+         (100. *. duplicate) stale_policy)
+    ~summary:(Scenario.converged ~what:"converged with clean delivery")
+    one (Scenario.seeds_from seed seeds)
 
 let churn_rate_arg =
-  Arg.(
-    value & opt float 0.4
-    & info [ "churn-rate" ]
-        ~doc:
-          "Per-round probability that each in-session member is evicted as \
-           silent (its traffic then queues durably until it re-joins)")
+  opt_arg Arg.float 0.4 "churn-rate"
+    "Per-round probability that each in-session member is evicted as silent \
+     (its traffic then queues durably until it re-joins)"
 
 let epoch_window_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "epoch-window" ]
-        ~doc:
-          "Inclusive epoch-window width of the re-seal policy: queued \
-           records at most this many rekeys old still drain fresh")
+  opt_arg Arg.int 1 "epoch-window"
+    "Inclusive epoch-window width of the re-seal policy: queued records at \
+     most this many rekeys old still drain fresh"
 
-let churn_rounds_arg =
-  Arg.(value & opt int 6 & info [ "rounds" ] ~doc:"Churn rounds per seed")
+let churn_rounds_arg = opt_arg Arg.int 6 "rounds" "Churn rounds per seed"
 
-let churn_seeds_arg =
-  Arg.(value & opt int 5 & info [ "seeds" ] ~doc:"Seeds swept from --seed up")
+let churn_seeds_arg = opt_arg Arg.int 5 "seeds" "Seeds swept from --seed up"
 
 let churn_duplicate_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "duplicate" ]
-        ~doc:
-          "Per-frame duplication probability (exercises the member-side \
-           delivery floor)")
+  opt_arg Arg.float 0.05 "duplicate"
+    "Per-frame duplication probability (exercises the member-side delivery \
+     floor)"
 
 let churn_loss_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "loss" ] ~doc:"Per-frame loss probability during the soak")
+  opt_arg Arg.float 0.05 "loss" "Per-frame loss probability during the soak"
 
 let churn_stale_arg =
-  Arg.(
-    value & flag
-    & info [ "deliver-stale" ]
-        ~doc:
-          "Use the deliver-stale policy arm instead of reject for \
-           beyond-window records")
+  flag_arg "deliver-stale"
+    "Use the deliver-stale policy arm instead of reject for beyond-window \
+     records"
 
 let churn_cmd =
   let doc =
@@ -1303,10 +990,20 @@ let churn_cmd =
 
 (* --- intrude --- *)
 
-let run_intrude arm_str members seeds until_s no_admission sn_config json
+let level_name = function Some l -> S.level_name l | None -> ""
+
+let run_intrude arm_str members seeds until_s no_admission profile json
     verbose =
-  let module D = Enclaves.Driver.Improved in
-  let module S = Enclaves.Sentinel in
+  let sn_config =
+    match List.assoc_opt profile Scenario.sentinel_profiles with
+    | Some c -> c
+    | None ->
+        prerr_endline
+          ("unknown --sentinel-profile '" ^ profile ^ "' ("
+          ^ String.concat "|" (List.map fst Scenario.sentinel_profiles)
+          ^ ")");
+        exit 2
+  in
   let arm =
     match arm_str with
     | "a1-flood" -> Netsim.Intruder.Preauth_flood
@@ -1322,11 +1019,7 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
              ^ "' (a1-flood|storm|a2-forge|a3-replay|frame-replay|frame-flood)");
             exit 2)
   in
-  let framing =
-    match arm with
-    | Netsim.Intruder.Frame_replay | Netsim.Intruder.Frame_flood -> true
-    | _ -> false
-  in
+  let framing = Scenario.framing arm in
   if members < 2 then begin
     prerr_endline
       "intrude: --members must be at least 2 (one early member and one \
@@ -1339,169 +1032,62 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
        the post-containment probe needs the tail)";
     exit 2
   end;
-  let honest =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
-  let directory = honest @ [ ("mallory", "mallory-pw") ] in
+  let honest = Scenario.directory members in
   (* The last half of the honest users (at least one) join in the
      middle of the attack window — the join-success probes the
      admission-control comparison is measured on. *)
   let n_late = max 1 (members / 2) in
-  let early = List.filteri (fun i _ -> i < members - n_late) honest in
-  let late = List.filteri (fun i _ -> i >= members - n_late) honest in
-  let victim = "user0" in
-  let one seed =
-    let intrusion = if no_admission then None else Some sn_config in
-    let d =
-      D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
-        ?intrusion ~leader:"leader" ~directory ()
+  let victim = Scenario.victim in
+  let one b seed =
+    let d, actor, joins_ok =
+      Scenario.attack_run
+        ?intrusion:(if no_admission then None else Some sn_config)
+        ~honest ~n_late arm seed
     in
-    (* The insider joins only for the insider arms; a framing campaign
-       runs against an all-honest group, with the attacker on the raw
-       wire. *)
-    List.iter (fun (n, _) -> D.join d n)
-      (early @ if framing then [] else [ ("mallory", "") ]);
-    ignore (D.run ~until:(Netsim.Vtime.of_s 2) d);
-    let actor =
-      if framing then begin
-        (* Give the victim leader-bound traffic of its own so the
-           replay arm has genuinely-MACed frames to re-inject under
-           the victim's name. *)
-        D.send_app d victim "victim chatter";
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 2200) d);
-        `Outsider (Adversary.Outsider.create ~driver:d ~victim ())
-      end
-      else begin
-        (* Give the insider replayable traffic of its own and a
-           session key to pocket, then rotate the group so the
-           pocketed key is genuinely retired when the forge arm
-           reuses it. *)
-        D.send_app d "mallory" "insider chatter";
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 2200) d);
-        let insider =
-          Adversary.Insider.create ~driver:d ~insider:"mallory"
-            ~password:"mallory-pw" ()
-        in
-        ignore (Adversary.Insider.harvest insider);
-        D.rekey d;
-        `Insider insider
-      end
-    in
-    (* 8 frames every 20 ms: five times the pre-auth queue's service
-       rate (4 per 50 ms) with refills faster than the pump drains, so
-       without admission control the queue stays pinned at capacity
-       and tail-drops legitimate joins for the whole window. *)
-    let campaign =
-      Netsim.Intruder.campaign ~arm ~start:(Netsim.Vtime.of_s 3)
-        ~stop:(Netsim.Vtime.of_s 6)
-        ~period:(Netsim.Vtime.of_ms 20)
-        ~burst:8 ()
-    in
-    (match actor with
-    | `Insider i -> ignore (Adversary.Insider.launch i campaign)
-    | `Outsider o -> ignore (Adversary.Outsider.launch o campaign));
-    ignore (D.run ~until:(Netsim.Vtime.of_s 4) d);
-    List.iter (fun (n, _) -> D.join d n) late;
-    (* Joins are scored one second after the campaign window closes —
-       the deadline that separates "rode through the flood" from
-       "eventually recovered once it stopped". *)
-    ignore (D.run ~until:(Netsim.Vtime.of_s 7) d);
-    let joins_ok =
-      List.length
-        (List.filter
-           (fun (n, _) -> Enclaves.Member.is_connected (D.member d n))
-           late)
-    in
-    ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
     let stats = D.sentinel_stats d in
-    let suspect = if framing then victim else "mallory" in
+    let suspect = if framing then victim else fst Scenario.insider in
     let level = Option.map (fun sn -> S.level sn suspect) (D.sentinel d) in
     let wire_level =
       Option.map (fun sn -> S.level sn S.wire_peer) (D.sentinel d)
     in
-    let quarantined = function
-      | Some l -> S.level_rank l >= S.level_rank S.Quarantined
-      | None -> false
-    in
+    (* Framing containment is dual: the WIRE pseudo-peer must be
+       contained while the framed honest victim must NOT be. *)
     let contained =
       if framing then
-        (* Framing containment is dual: the WIRE pseudo-peer must be
-           contained (scored to quarantine, or its injections dropped
-           at the door) while the framed honest victim must NOT be. *)
-        (quarantined wire_level
-        || stats.Netsim.Stats.injections_blocked > 0)
-        && not (quarantined level)
-      else quarantined level
+        Scenario.wire_contained d && not (Scenario.quarantined d victim)
+      else Scenario.quarantined d suspect
     in
-    (* Post-containment secrecy probe: a secret sent from here on must
-       be unreadable to an eavesdropper who holds every key the
-       insider ever pocketed AND the whole wire trace — including the
-       early group-key distributions wrapped under the insider's
-       session key. Only the emergency rekey (which excluded the
-       suspect) makes this hold; in the baseline the insider is still
-       a member, its session key unwraps every rotation, and the
-       secret reads straight off the wire. A pure wire attacker
-       pockets nothing, so for the framing arms the probe checks the
-       replayed/fabricated traffic leaked no key material. *)
     let secret = Printf.sprintf "post-containment secret %Ld" seed in
-    D.send_app d "user0" secret;
-    ignore (D.run ~until:(Netsim.Vtime.of_s until_s) d);
-    let unreadable =
-      let know = Adversary.Knowledge.create () in
-      (match actor with
-      | `Insider i ->
-          List.iter (Adversary.Knowledge.add_key know)
-            (Adversary.Insider.retired_keys i)
-      | `Outsider _ -> ());
-      let trace = Netsim.Network.trace (D.net d) in
-      Adversary.Knowledge.observe_trace know trace;
-      Adversary.Knowledge.saturate know;
-      not
-        (List.exists
-           (fun payload ->
-             match Adversary.Knowledge.decrypt_app know payload with
-             | Some (_, body) -> body = secret
-             | None -> false)
-           (Netsim.Trace.payloads trace))
-    in
+    D.send_app d victim secret;
+    Scenario.run_until d until_s;
+    let unreadable = Scenario.secret_unreadable d actor secret in
     let injected =
       match actor with
-      | `Insider i -> Adversary.Insider.counters i
-      | `Outsider o -> Adversary.Outsider.counters o
+      | Scenario.Insider i -> Adversary.Insider.counters i
+      | Scenario.Outsider o -> Adversary.Outsider.counters o
     in
-    if not json then begin
-      (if framing then
-         Printf.printf
-           "seed=%-3Ld victim=%-11s wire=%-11s blocked=%-4d joins=%d/%d \
-            sealed=%b\n"
-           seed
-           (match level with
-           | Some l -> S.level_name l
-           | None -> "(no sentinel)")
-           (match wire_level with Some l -> S.level_name l | None -> "-")
-           stats.Netsim.Stats.injections_blocked joins_ok n_late unreadable
-       else
-         Printf.printf "seed=%-3Ld %-11s joins=%d/%d rekeys=%d sealed=%b\n"
-           seed
-           (match level with
-           | Some l -> S.level_name l
-           | None -> "(no sentinel)")
-           joins_ok n_late stats.Netsim.Stats.emergency_rekeys unreadable);
-      Format.printf "         injected: %a@." Netsim.Stats.pp_named injected;
-      if verbose then
-        Format.printf "         sentinel: %a@." Netsim.Stats.pp_named
-          (D.sentinel_counters d)
-    end;
-    let row =
+    let shown = match level with None -> "(no sentinel)" | l -> level_name l in
+    if framing then
+      Printf.bprintf b
+        "seed=%-3Ld victim=%-11s wire=%-11s blocked=%-4d joins=%d/%d \
+         sealed=%b\n"
+        seed shown
+        (match wire_level with None -> "-" | l -> level_name l)
+        stats.Netsim.Stats.injections_blocked joins_ok n_late unreadable
+    else
+      Printf.bprintf b "seed=%-3Ld %-11s joins=%d/%d rekeys=%d sealed=%b\n"
+        seed shown joins_ok n_late stats.Netsim.Stats.emergency_rekeys
+        unreadable;
+    ff b "         injected: %a@." Netsim.Stats.pp_named injected;
+    if verbose then
+      ff b "         sentinel: %a@." Netsim.Stats.pp_named
+        (D.sentinel_counters d);
+    ( (contained, joins_ok, unreadable),
       Json.Obj
         ([
            ("seed", Json.Int (Int64.to_int seed));
            ("contained", Json.Bool contained);
-           ( "level",
-             Json.Str
-               (match level with Some l -> S.level_name l | None -> "") );
+           ("level", Json.Str (level_name level));
            ("joins_ok", Json.Int joins_ok);
            ("joins_total", Json.Int n_late);
            ("post_rekey_unreadable", Json.Bool unreadable);
@@ -1512,74 +1098,68 @@ let run_intrude arm_str members seeds until_s no_admission sn_config json
         if framing then
           [
             ("victim", Json.Str victim);
-            ( "wire_level",
-              Json.Str
-                (match wire_level with
-                | Some l -> S.level_name l
-                | None -> "") );
+            ("wire_level", Json.Str (level_name wire_level));
             ( "injections_blocked",
               Json.Int stats.Netsim.Stats.injections_blocked );
           ]
-        else [])
-    in
-    ((contained, joins_ok, unreadable), row)
+        else []) )
   in
-  if not json then
-    Printf.printf
-      "intrude: arm=%s %d members (%s), %d late joiners, admission=%s \
-       bound=%ds\n"
-      (Netsim.Intruder.arm_name arm)
-      members
-      (if framing then "wire attacker framing " ^ victim else "+insider")
-      n_late
-      (if no_admission then "OFF (baseline)" else "on")
-      until_s;
-  let seed_list = List.init seeds (fun i -> Int64.of_int (i + 1)) in
-  let results = List.map one seed_list in
-  let contained_n =
-    List.length (List.filter (fun ((c, _, _), _) -> c) results)
-  in
-  let joins_ok = List.fold_left (fun a ((_, j, _), _) -> a + j) 0 results in
-  let joins_total = seeds * n_late in
-  let sealed_n =
-    List.length (List.filter (fun ((_, _, u), _) -> u) results)
-  in
-  let join_ratio = float_of_int joins_ok /. float_of_int joins_total in
-  let ok =
-    if no_admission then true
+  let summary verdicts =
+    let contained_n = Scenario.count (fun (c, _, _) -> c) verdicts in
+    let joins_ok = List.fold_left (fun a (_, j, _) -> a + j) 0 verdicts in
+    let joins_total = seeds * n_late in
+    let sealed_n = Scenario.count (fun (_, _, u) -> u) verdicts in
+    let join_ratio = float_of_int joins_ok /. float_of_int joins_total in
+    let ok =
       (* the baseline arm is informational: it documents the damage
          admission control is measured against *)
-    else contained_n = seeds && sealed_n = seeds && join_ratio >= 0.95
+      no_admission
+      || (contained_n = seeds && sealed_n = seeds && join_ratio >= 0.95)
+    in
+    {
+      Scenario.ok;
+      fields =
+        [
+          ( "summary",
+            Json.Obj
+              [
+                ("seeds", Json.Int seeds);
+                ("contained", Json.Int contained_n);
+                ("join_success", Json.Float join_ratio);
+                ("post_rekey_sealed", Json.Int sealed_n);
+                ("ok", Json.Bool ok);
+              ] );
+        ];
+      text =
+        Printf.sprintf
+          "\n%d/%d seeds %s; join success %d/%d (%.0f%%); post-rekey sealed \
+           %d/%d%s\n"
+          contained_n seeds
+          (if framing then "contained the wire (victim spared)"
+           else "contained the insider")
+          joins_ok joins_total (100.0 *. join_ratio) sealed_n seeds
+          (if no_admission then "  [baseline: admission off]" else "");
+    }
   in
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "intrude");
-           ("arm", Json.Str (Netsim.Intruder.arm_name arm));
-           ("members", Json.Int members);
-           ("admission", Json.Bool (not no_admission));
-           ("runs", Json.Arr (List.map snd results));
-           ( "summary",
-             Json.Obj
-               [
-                 ("seeds", Json.Int seeds);
-                 ("contained", Json.Int contained_n);
-                 ("join_success", Json.Float join_ratio);
-                 ("post_rekey_sealed", Json.Int sealed_n);
-                 ("ok", Json.Bool ok);
-               ] );
-         ])
-  else
-    Printf.printf
-      "\n%d/%d seeds %s; join success %d/%d (%.0f%%); post-rekey sealed \
-       %d/%d%s\n"
-      contained_n seeds
-      (if framing then "contained the wire (victim spared)"
-       else "contained the insider")
-      joins_ok joins_total (100.0 *. join_ratio) sealed_n seeds
-      (if no_admission then "  [baseline: admission off]" else "");
-  if ok then 0 else 1
+  Scenario.sweep ~command:"intrude" ~json
+    ~params:
+      [
+        ("arm", Json.Str (Netsim.Intruder.arm_name arm));
+        ("members", Json.Int members);
+        ("admission", Json.Bool (not no_admission));
+      ]
+    ~header:
+      (Printf.sprintf
+         "intrude: arm=%s %d members (%s), %d late joiners, admission=%s \
+          bound=%ds\n"
+         (Netsim.Intruder.arm_name arm)
+         members
+         (if framing then "wire attacker framing " ^ victim else "+insider")
+         n_late
+         (if no_admission then "OFF (baseline)" else "on")
+         until_s)
+    ~summary one
+    (Scenario.seeds_from 1L seeds)
 
 let intrude_arm_arg =
   Arg.(
@@ -1588,22 +1168,21 @@ let intrude_arm_arg =
     & info [] ~docv:"ARM"
         ~doc:"a1-flood|storm|a2-forge|a3-replay|frame-replay|frame-flood")
 
-let intrude_seeds_arg =
-  Arg.(value & opt int 5 & info [ "seeds" ] ~doc:"Sweep seeds 1..N")
-
-let intrude_until_arg =
-  Arg.(
-    value & opt int 12
-    & info [ "until" ] ~doc:"Virtual-time bound in seconds per run")
-
 let no_admission_arg =
+  flag_arg "no-admission"
+    "Disable the sentinel (baseline arm): the pre-auth queue still runs, but \
+     nothing scores evidence or denies admission, so the flood's damage to \
+     legitimate joins is measured raw"
+
+let sentinel_profile_arg =
   Arg.(
-    value & flag
-    & info [ "no-admission" ]
+    value & opt string "shipped"
+    & info [ "sentinel-profile" ] ~docv:"PROFILE"
         ~doc:
-          "Disable the sentinel (baseline arm): the pre-auth queue still \
-           runs, but nothing scores evidence or denies admission, so the \
-           flood's damage to legitimate joins is measured raw")
+          ("Sentinel configuration, by its calibrate label: "
+          ^ String.concat ", " (List.map fst Scenario.sentinel_profiles)
+          ^ ". $(b,no-attribution) is the pre-attribution sentinel that \
+             scores every frame at full weight against its claimed sender."))
 
 let intrude_cmd =
   let doc =
@@ -1615,325 +1194,157 @@ let intrude_cmd =
   Cmd.v (Cmd.info "intrude" ~doc)
     Term.(
       const run_intrude $ intrude_arm_arg $ chaos_members_arg
-      $ intrude_seeds_arg $ intrude_until_arg $ no_admission_arg
-      $ sentinel_config_term $ json_arg $ verbose_arg)
+      $ seeds_arg 5 $ until_arg 12 $ no_admission_arg
+      $ sentinel_profile_arg $ json_arg $ verbose_arg)
 
 (* --- calibrate --- *)
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-(* Merge freshly produced [rows] (pre-rendered JSON result objects)
-   into the bench trajectory file at [path] under [group], preserving
-   every row of every other group the benchmark harness (or another
-   sweep) wrote — and letting them preserve these rows in turn. *)
-let merge_bench_group ~path ~group rows =
-  let old_lines =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let rec go acc =
-        match input_line ic with
-        | l -> go (l :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
-    end
-    else []
-  in
-  let strip_comma l =
-    let t = String.trim l in
-    if t <> "" && t.[String.length t - 1] = ',' then
-      String.sub t 0 (String.length t - 1)
-    else t
-  in
-  let keep =
-    List.filter_map
-      (fun l ->
-        let t = String.trim l in
-        if
-          String.length t > 1
-          && t.[0] = '{'
-          && not (contains_sub t ("\"group\": \"" ^ group ^ "\""))
-        then Some (strip_comma l)
-        else None)
-      old_lines
-  in
-  let mode =
-    List.fold_left
-      (fun acc l ->
-        let t = String.trim l in
-        if String.length t >= 7 && String.sub t 0 7 = "\"mode\":" then
-          match String.split_on_char '"' t with
-          | _ :: _ :: _ :: v :: _ -> v
-          | _ -> acc
-        else acc)
-      "none" old_lines
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"enclaves-bench/1\",\n";
-  Printf.fprintf oc "  \"mode\": \"%s\",\n" mode;
-  Printf.fprintf oc "  \"results\": [";
-  let first = ref true in
-  List.iter
-    (fun row ->
-      Printf.fprintf oc "%s\n    %s" (if !first then "" else ",") row;
-      first := false)
-    (keep @ rows);
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
-
-let run_calibrate seeds clean_seeds quick out json base_cfg =
-  let module D = Enclaves.Driver.Improved in
-  let module S = Enclaves.Sentinel in
-  let members = 5 in
-  let honest =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
-  let n_late = 2 in
-  let early = List.filteri (fun i _ -> i < members - n_late) honest in
-  let late = List.filteri (fun i _ -> i >= members - n_late) honest in
-  let quarantined l = S.level_rank l >= S.level_rank S.Quarantined in
-  (* One seeded attack run under [cfg] — the intrude scenario without
-     the secrecy probe, bounded at 8 virtual seconds. Returns whether
-     the attacker was contained, whether any honest member was falsely
-     quarantined, and whether the late joins all came up. *)
-  let attack_run cfg arm seed =
-    let framing =
-      match arm with
-      | Netsim.Intruder.Frame_replay | Netsim.Intruder.Frame_flood -> true
-      | _ -> false
-    in
-    let directory =
-      honest @ if framing then [] else [ ("mallory", "mallory-pw") ]
-    in
-    let d =
-      D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
-        ~intrusion:cfg ~leader:"leader" ~directory ()
-    in
-    List.iter (fun (n, _) -> D.join d n)
-      (early @ if framing then [] else [ ("mallory", "") ]);
-    ignore (D.run ~until:(Netsim.Vtime.of_s 2) d);
-    let launch =
-      if framing then begin
-        D.send_app d "user0" "victim chatter";
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 2200) d);
-        let o = Adversary.Outsider.create ~driver:d ~victim:"user0" () in
-        fun c -> ignore (Adversary.Outsider.launch o c)
-      end
-      else begin
-        D.send_app d "mallory" "insider chatter";
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 2200) d);
-        let i =
-          Adversary.Insider.create ~driver:d ~insider:"mallory"
-            ~password:"mallory-pw" ()
-        in
-        ignore (Adversary.Insider.harvest i);
-        D.rekey d;
-        fun c -> ignore (Adversary.Insider.launch i c)
-      end
-    in
-    launch
-      (Netsim.Intruder.campaign ~arm ~start:(Netsim.Vtime.of_s 3)
-         ~stop:(Netsim.Vtime.of_s 6)
-         ~period:(Netsim.Vtime.of_ms 20)
-         ~burst:8 ());
-    ignore (D.run ~until:(Netsim.Vtime.of_s 4) d);
-    List.iter (fun (n, _) -> D.join d n) late;
-    ignore (D.run ~until:(Netsim.Vtime.of_s 7) d);
-    let joins_ok =
-      List.for_all
-        (fun (n, _) -> Enclaves.Member.is_connected (D.member d n))
-        late
-    in
-    ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
-    let sn = Option.get (D.sentinel d) in
-    let stats = D.sentinel_stats d in
-    let detected =
-      if framing then
-        quarantined (S.level sn S.wire_peer)
-        || stats.Netsim.Stats.injections_blocked > 0
-      else quarantined (S.level sn "mallory")
-    in
-    let fp = List.exists (fun (n, _) -> quarantined (S.level sn n)) honest in
-    (detected, fp, joins_ok)
-  in
-  (* One clean-chaos run: no attacker, a lossy fault plan. Any honest
-     quarantine is a false positive. *)
-  let clean_run cfg seed =
-    let d =
-      D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
-        ~intrusion:cfg ~leader:"leader" ~directory:honest ()
-    in
-    let plan =
-      Netsim.Faultplan.make
-        ~default_link:
-          (Netsim.Faultplan.lossy_link ~corrupt:0.02 ~duplicate:0.02
-             ~spike_prob:0.0 0.15)
-        ()
-    in
-    Netsim.Network.set_faultplan (D.net d) (Some plan);
-    List.iter (fun (n, _) -> D.join d n) honest;
-    ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
-    let sn = Option.get (D.sentinel d) in
-    List.exists (fun (n, _) -> quarantined (S.level sn n)) honest
-  in
-  let arms =
+let calibrate_arms =
+  Netsim.Intruder.
     [
-      Netsim.Intruder.Preauth_flood; Netsim.Intruder.Handshake_storm;
-      Netsim.Intruder.Forge_burst; Netsim.Intruder.Replay_burst;
-      Netsim.Intruder.Frame_replay; Netsim.Intruder.Frame_flood;
+      Preauth_flood; Handshake_storm; Forge_burst; Replay_burst; Frame_replay;
+      Frame_flood;
     ]
-  in
+
+let run_calibrate seeds clean_seeds quick out json =
+  let honest = Scenario.directory 5 in
   let seeds = if quick then min seeds 1 else seeds in
   let clean_seeds = if quick then min clean_seeds 2 else clean_seeds in
   let points =
-    let b = base_cfg in
-    [ ("shipped", b); ("no-attribution", { b with S.attribution = false }) ]
-    @
-    if quick then []
-    else
-      [
-        ("wire-discount-0.5", { b with S.wire_discount = 0.5 });
-        ("wire-discount-1.0", { b with S.wire_discount = 1.0 });
-        ("no-corroboration", { b with S.corroborate_floor = 0.0 });
-        ("quarantine-15", { b with S.quarantine_at = 15.0; expel_at = 40.0 });
-        ("quarantine-40", { b with S.quarantine_at = 40.0; expel_at = 90.0 });
-        ("half-life-1s", { b with S.half_life = Netsim.Vtime.of_s 1 });
-        ("half-life-4s", { b with S.half_life = Netsim.Vtime.of_s 4 });
-      ]
+    if quick then List.filteri (fun i _ -> i < 2) Scenario.sentinel_profiles
+    else Scenario.sentinel_profiles
   in
-  if not json then
-    Printf.printf
-      "calibrate: %d points x (%d arms x %d seeds + %d clean seeds)\n\n\
-       %-18s %10s %6s %6s %6s\n"
-      (List.length points) (List.length arms) seeds clean_seeds "point"
-      "detection" "fp" "joins" "note";
-  let eval (label, cfg) =
+  (* One seeded attack run under [cfg]: the intrude scenario without
+     the secrecy probe. Was the attacker contained, was any honest
+     member falsely quarantined, did the late joins all come up? *)
+  let attack_run cfg arm seed =
+    let d, _, joins_ok =
+      Scenario.attack_run ~intrusion:cfg ~honest ~n_late:2 arm seed
+    in
+    let detected =
+      if Scenario.framing arm then Scenario.wire_contained d
+      else Scenario.quarantined d (fst Scenario.insider)
+    in
+    (detected, Scenario.honest_quarantined d honest, joins_ok = 2)
+  in
+  (* One clean-chaos run: no attacker, a lossy fault plan. Any honest
+     quarantine is a false positive. *)
+  let plan =
+    Netsim.Faultplan.make
+      ~default_link:
+        (Netsim.Faultplan.lossy_link ~corrupt:0.02 ~duplicate:0.02
+           ~spike_prob:0.0 0.15)
+      ()
+  in
+  let clean_run cfg seed =
+    let d =
+      Scenario.chaos_run ~retry:D.default_retry ~preauth:D.default_preauth
+        ~intrusion:cfg ~plan ~directory:honest ~until:(Netsim.Vtime.of_s 8)
+        seed
+    in
+    Scenario.honest_quarantined d honest
+  in
+  let eval b (label, cfg) =
     let atk =
       List.concat_map
         (fun arm ->
-          List.map
-            (fun s -> attack_run cfg arm (Int64.of_int (s + 1)))
-            (List.init seeds Fun.id))
-        arms
+          List.map (attack_run cfg arm) (Scenario.seeds_from 1L seeds))
+        calibrate_arms
     in
     let clean =
-      List.map
-        (fun s -> clean_run cfg (Int64.of_int (101 + s)))
-        (List.init clean_seeds Fun.id)
+      List.map (clean_run cfg) (Scenario.seeds_from 101L clean_seeds)
     in
     let n_atk = List.length atk in
-    let count p l = List.length (List.filter p l) in
-    let detection =
-      float_of_int (count (fun (d, _, _) -> d) atk) /. float_of_int n_atk
-    in
+    let ratio n d = float_of_int n /. float_of_int d in
+    let detection = ratio (Scenario.count (fun (d, _, _) -> d) atk) n_atk in
     let fp =
-      float_of_int (count (fun (_, f, _) -> f) atk + count Fun.id clean)
-      /. float_of_int (n_atk + List.length clean)
+      ratio
+        (Scenario.count (fun (_, f, _) -> f) atk + Scenario.count Fun.id clean)
+        (n_atk + List.length clean)
     in
-    let joins =
-      float_of_int (count (fun (_, _, j) -> j) atk) /. float_of_int n_atk
+    let joins = ratio (Scenario.count (fun (_, _, j) -> j) atk) n_atk in
+    Printf.bprintf b "%-18s %10.2f %6.2f %6.2f\n" label detection fp joins;
+    ( (label, detection, fp, joins),
+      Json.Obj
+        [
+          ("point", Json.Str label);
+          ("detection", Json.Float detection);
+          ("false_positives", Json.Float fp);
+          ("join_success", Json.Float joins);
+        ] )
+  in
+  let summary frontier =
+    let metric name =
+      match List.find_opt (fun (l, _, _, _) -> l = name) frontier with
+      | Some (_, d, f, _) -> (d, f)
+      | None -> (0.0, 1.0)
     in
-    if not json then
-      Printf.printf "%-18s %10.2f %6.2f %6.2f\n%!" label detection fp joins;
-    (label, detection, fp, joins)
+    let sd, sf = metric "shipped" in
+    let bd, bf = metric "no-attribution" in
+    let dominates = sd >= bd && sf <= bf in
+    Scenario.merge_bench_group ~path:out ~group:"sentinel-frontier"
+      (List.map
+         (fun (label, d, f, j) ->
+           Printf.sprintf
+             "{ \"group\": \"sentinel-frontier\", \"name\": \
+              \"sentinel-frontier/%s\", \"ns_per_op\": null, \"detection\": \
+              %.4f, \"false_positives\": %.4f, \"join_success\": %.4f }"
+             label d f j)
+         frontier);
+    {
+      Scenario.ok = dominates;
+      fields = [ ("shipped_dominates_baseline", Json.Bool dominates) ];
+      text =
+        Printf.sprintf
+          "\nshipped defaults vs no-attribution baseline: detection %.2f vs \
+           %.2f, fp %.2f vs %.2f -> %s\nfrontier written to %s\n"
+          sd bd sf bf
+          (if dominates then "DOMINATES" else "DOMINATED (regression)")
+          out;
+    }
   in
-  let frontier = List.map eval points in
-  let metric name =
-    match List.find_opt (fun (l, _, _, _) -> l = name) frontier with
-    | Some (_, d, f, _) -> (d, f)
-    | None -> (0.0, 1.0)
-  in
-  let sd, sf = metric "shipped" in
-  let bd, bf = metric "no-attribution" in
-  let dominates = sd >= bd && sf <= bf in
-  (* Merge the frontier into the bench trajectory file, preserving
-     every timing row the benchmark harness wrote (and letting the
-     harness preserve these rows in turn). *)
-  merge_bench_group ~path:out ~group:"sentinel-frontier"
-    (List.map
-       (fun (label, d, f, j) ->
-         Printf.sprintf
-           "{ \"group\": \"sentinel-frontier\", \"name\": \
-            \"sentinel-frontier/%s\", \"ns_per_op\": null, \"detection\": \
-            %.4f, \"false_positives\": %.4f, \"join_success\": %.4f }"
-           label d f j)
-       frontier);
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "calibrate");
-           ( "frontier",
-             Json.Arr
-               (List.map
-                  (fun (label, d, f, j) ->
-                    Json.Obj
-                      [
-                        ("point", Json.Str label);
-                        ("detection", Json.Float d);
-                        ("false_positives", Json.Float f);
-                        ("join_success", Json.Float j);
-                      ])
-                  frontier) );
-           ("shipped_dominates_baseline", Json.Bool dominates);
-         ])
-  else begin
-    Printf.printf
-      "\nshipped defaults vs no-attribution baseline: detection %.2f vs \
-       %.2f, fp %.2f vs %.2f -> %s\n"
-      sd bd sf bf
-      (if dominates then "DOMINATES" else "DOMINATED (regression)");
-    Printf.printf "frontier written to %s\n" out
-  end;
-  if dominates then 0 else 1
+  Scenario.sweep ~command:"calibrate" ~json ~runs:"frontier" ~params:[]
+    ~header:
+      (Printf.sprintf
+         "calibrate: %d points x (%d arms x %d seeds + %d clean seeds)\n\n\
+          %-18s %10s %6s %6s %6s\n"
+         (List.length points)
+         (List.length calibrate_arms)
+         seeds clean_seeds "point" "detection" "fp" "joins" "note")
+    ~summary eval points
 
 let calibrate_seeds_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "seeds" ] ~doc:"Seeds per (point, attack arm) pair")
+  opt_arg Arg.int 2 "seeds" "Seeds per (point, attack arm) pair"
 
 let clean_seeds_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "clean-seeds" ]
-        ~doc:"Clean-chaos seeds per point (false-positive control)")
+  opt_arg Arg.int 3 "clean-seeds"
+    "Clean-chaos seeds per point (false-positive control)"
 
 let calibrate_quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:
-          "Sweep only the shipped point and the no-attribution baseline \
-           with one seed per arm (CI smoke)")
+  flag_arg "quick"
+    "Sweep only the shipped point and the no-attribution baseline with one \
+     seed per arm (CI smoke)"
 
-let calibrate_out_arg =
+let out_arg group =
   Arg.(
     value
     & opt string "BENCH_results.json"
     & info [ "out" ]
         ~doc:
-          "Bench trajectory file to merge the sentinel-frontier group into \
-           (timing rows are preserved)")
+          ("Bench trajectory file to merge the " ^ group
+         ^ " group into (timing rows are preserved)"))
 
 let calibrate_cmd =
   let doc =
-    "sweep sentinel weight/threshold/half-life points, running every \
-     intruder arm and a clean-chaos control per point, and emit the \
+    "sweep the named sentinel configurations, running every intruder arm \
+     and a clean-chaos control per point, and emit the \
      detection-vs-false-positive frontier (fails unless the shipped \
      defaults dominate the no-attribution baseline)"
   in
   Cmd.v (Cmd.info "calibrate" ~doc)
     Term.(
       const run_calibrate $ calibrate_seeds_arg $ clean_seeds_arg
-      $ calibrate_quick_arg $ calibrate_out_arg $ json_arg
-      $ sentinel_config_term)
+      $ calibrate_quick_arg $ out_arg "sentinel-frontier" $ json_arg)
 
 (* --- nemesis --- *)
 
@@ -1949,9 +1360,7 @@ let calibrate_cmd =
    ladder disabled and is expected to wedge on the first refused
    journal write — the damage the ladder is measured against. *)
 let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
-    sn_config =
-  let module D = Enclaves.Driver.Improved in
-  let module S = Enclaves.Sentinel in
+    =
   let module L = Enclaves.Leader in
   if members < 4 then begin
     prerr_endline
@@ -1965,45 +1374,37 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
        and recovery needs the tail)";
     exit 2
   end;
-  let honest =
-    List.init members (fun i ->
-        let name = Printf.sprintf "user%d" i in
-        (name, name ^ "-pw"))
-  in
-  let directory = honest @ [ ("mallory", "mallory-pw") ] in
-  let n_late = 2 in
-  let early = List.filteri (fun i _ -> i < members - n_late) honest in
-  let late = List.filteri (fun i _ -> i >= members - n_late) honest in
+  let honest = Scenario.directory members in
+  let early, late = Scenario.split_late honest 2 in
   let offline_victim = "user1" in
   let global_budget = 2500 in
-  let one seed =
-    let policy =
-      if no_degrade then Some { L.default_policy with L.degrade = false }
-      else None
-    in
-    let storage_faults =
-      {
-        Store.Fault.none with
-        Store.Fault.torn_write = 0.02;
-        short_write = 0.02;
-        eio = 0.02;
-        drop_fsync = 0.05;
-        fsync_spike = 0.3;
-        fsync_spike_ms = 40;
-      }
-    in
-    let budgets =
-      {
-        Enclaves.Delivery.per_member_bytes = Some 300;
-        global_bytes = Some global_budget;
-      }
-    in
+  let one b seed =
     let d =
-      D.create ~seed ?policy ~retry:D.default_retry
-        ~recovery:D.default_recovery ~storage_faults
-        ~delivery:Enclaves.Delivery.default_policy ~delivery_budgets:budgets
-        ~preauth:D.default_preauth ~intrusion:sn_config ~leader:"leader"
-        ~directory ()
+      D.create ~seed
+        ?policy:
+          (if no_degrade then Some { L.default_policy with L.degrade = false }
+           else None)
+        ~retry:D.default_retry ~recovery:D.default_recovery
+        ~storage_faults:
+          {
+            Store.Fault.none with
+            Store.Fault.torn_write = 0.02;
+            short_write = 0.02;
+            eio = 0.02;
+            drop_fsync = 0.05;
+            fsync_spike = 0.3;
+            fsync_spike_ms = 40;
+          }
+        ~delivery:Enclaves.Delivery.default_policy
+        ~delivery_budgets:
+          {
+            Enclaves.Delivery.per_member_bytes = Some 300;
+            global_bytes = Some global_budget;
+          }
+        ~preauth:D.default_preauth ~intrusion:S.default_config
+        ~leader:"leader"
+        ~directory:(honest @ [ Scenario.insider ])
+        ()
     in
     let plan =
       Netsim.Faultplan.make
@@ -2021,27 +1422,13 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
       ~warm:true ();
     let wedge = ref None in
     let seg f = if !wedge = None then try f () with e -> wedge := Some e in
+    (* The insider's prelude, then its pre-auth flood from 3s to 6s —
+       five times the service rate. *)
     seg (fun () ->
-        List.iter (fun (n, _) -> D.join d n) (early @ [ ("mallory", "") ]);
-        ignore (D.run ~until:(Netsim.Vtime.of_s 2) d);
-        D.send_app d "mallory" "insider chatter";
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 2200) d));
-    (* The insider harvests its key material, then floods the pre-auth
-       door from 3s to 6s — five times the service rate. *)
+        let arm = Netsim.Intruder.Preauth_flood in
+        Scenario.launch (Scenario.prelude d ~early arm) arm);
     seg (fun () ->
-        let insider =
-          Adversary.Insider.create ~driver:d ~insider:"mallory"
-            ~password:"mallory-pw" ()
-        in
-        ignore (Adversary.Insider.harvest insider);
-        D.rekey d;
-        ignore
-          (Adversary.Insider.launch insider
-             (Netsim.Intruder.campaign ~arm:Netsim.Intruder.Preauth_flood
-                ~start:(Netsim.Vtime.of_s 3) ~stop:(Netsim.Vtime.of_s 6)
-                ~period:(Netsim.Vtime.of_ms 20)
-                ~burst:8 ()));
-        ignore (D.run ~until:(Netsim.Vtime.of_s 3) d);
+        Scenario.run_until d 3;
         (* Open the backlog phase — after the 2.5s crash, because the
            offline set is leader-instance state, not journaled: one
            member goes dark while periodic rekeys keep minting sealed
@@ -2051,7 +1438,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
           (D.start_periodic_rekey d
              ~period:(Netsim.Vtime.of_ms 300)
              ~until:(Netsim.Vtime.of_s 8) ());
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 3500) d));
+        Scenario.run_until_ms d 3500);
     (* Dying disk: every mutation refused until the stall heals. The
        offline mark is re-asserted first: a post-restart re-handshake
        from the victim drains its queue and clears the mark (that is
@@ -2060,55 +1447,29 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
     seg (fun () ->
         D.mark_offline d offline_victim;
         D.trigger_stall d;
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 4300) d);
+        Scenario.run_until_ms d 4300;
         D.heal_stall d;
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 4500) d));
+        Scenario.run_until_ms d 4500);
     (* Disk full: clamp the byte budget to a sliver above current
        usage; the journal and queue mirrors exhaust it within a few
        rekeys. Space returns at 6.5s. *)
     seg (fun () ->
         D.set_space_budget d (Some (D.disk_bytes_used d + 150));
-        ignore (D.run ~until:(Netsim.Vtime.of_ms 6500) d);
+        Scenario.run_until_ms d 6500;
         D.set_space_budget d None;
-        ignore (D.run ~until:(Netsim.Vtime.of_s 8) d));
+        Scenario.run_until d 8);
     (* Heal phase: the dark member returns, the late joiners arrive,
        and the run settles to the end-state check. *)
     seg (fun () ->
         D.mark_online d offline_victim;
         List.iter (fun (n, _) -> D.join d n) late;
-        ignore (D.run ~until:(Netsim.Vtime.of_s until_s) d));
+        Scenario.run_until d until_s);
     let wedged = !wedge <> None in
     let rs = D.resource_stats d in
-    let quarantined l = S.level_rank l >= S.level_rank S.Quarantined in
-    let honest_quarantined =
-      match D.sentinel d with
-      | None -> false
-      | Some sn -> List.exists (fun (n, _) -> quarantined (S.level sn n)) honest
-    in
-    let joins_ok =
-      List.length
-        (List.filter
-           (fun (n, _) -> Enclaves.Member.is_connected (D.member d n))
-           honest)
-    in
+    let honest_quarantined = Scenario.honest_quarantined d honest in
+    let joins_ok = Scenario.connected d honest in
     let reconverged =
-      (* Convergence over the honest members only: the insider is
-         expected to end quarantined and out of the view. *)
-      (not wedged)
-      &&
-      let lview = L.members (D.leader d) in
-      match L.group_key (D.leader d) with
-      | None -> false
-      | Some gk ->
-          List.for_all
-            (fun (n, _) ->
-              let m = D.member d n in
-              Enclaves.Member.is_connected m
-              && (match Enclaves.Member.group_key m with
-                 | Some gk' -> gk'.Enclaves.Types.epoch = gk.Enclaves.Types.epoch
-                 | None -> false)
-              && Enclaves.Member.group_view m = lview)
-            honest
+      (not wedged) && Scenario.honest_view_reconverged d honest
     in
     let healthy_end =
       (not wedged) && D.leader_mode d = L.Healthy && D.durability_armed d
@@ -2122,7 +1483,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
     in
     let survived =
       (not wedged) && reconverged
-      && joins_ok = List.length honest
+      && joins_ok = members
       && (not honest_quarantined)
       && healthy_end && markers_durable && bytes_bounded
     in
@@ -2141,30 +1502,26 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
       if no_degrade then (not expect_wedge) || wedged
       else survived && engaged
     in
-    if not json then begin
-      Printf.printf
-        "seed=%-3Ld %-8s joins=%d/%d reconverged=%b healthy=%b shed=%d \
-         enospc=%d degraded=%d rearms=%d%s\n"
-        seed
-        (if wedged then "WEDGED"
-         else if survived then "SURVIVED"
-         else "DAMAGED")
-        joins_ok (List.length honest) reconverged healthy_end
-        rs.Netsim.Stats.records_shed rs.Netsim.Stats.enospc_hits
-        rs.Netsim.Stats.degraded_entries (D.rearms d)
-        (match !wedge with
-        | Some e -> "  [" ^ Printexc.to_string e ^ "]"
-        | None -> "");
-      if verbose then begin
-        Format.printf "         resource: %a@." Netsim.Stats.pp_named
-          (D.resource_counters d);
-        Format.printf "         storage:  %a@." Netsim.Stats.pp_named
-          (D.storage_counters d);
-        Format.printf "         sentinel: %a@." Netsim.Stats.pp_named
-          (D.sentinel_counters d)
-      end
+    Printf.bprintf b
+      "seed=%-3Ld %-8s joins=%d/%d reconverged=%b healthy=%b shed=%d \
+       enospc=%d degraded=%d rearms=%d%s\n"
+      seed
+      (if wedged then "WEDGED" else if survived then "SURVIVED" else "DAMAGED")
+      joins_ok members reconverged healthy_end rs.Netsim.Stats.records_shed
+      rs.Netsim.Stats.enospc_hits rs.Netsim.Stats.degraded_entries
+      (D.rearms d)
+      (match !wedge with
+      | Some e -> "  [" ^ Printexc.to_string e ^ "]"
+      | None -> "");
+    if verbose then begin
+      ff b "         resource: %a@." Netsim.Stats.pp_named
+        (D.resource_counters d);
+      ff b "         storage:  %a@." Netsim.Stats.pp_named
+        (D.storage_counters d);
+      ff b "         sentinel: %a@." Netsim.Stats.pp_named
+        (D.sentinel_counters d)
     end;
-    let row =
+    ( (seed, ok, wedged, survived),
       Json.Obj
         [
           ("seed", Json.Int (Int64.to_int seed));
@@ -2172,104 +1529,79 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
           ("survived", Json.Bool survived);
           ("reconverged", Json.Bool reconverged);
           ("joins_ok", Json.Int joins_ok);
-          ("joins_total", Json.Int (List.length honest));
+          ("joins_total", Json.Int members);
           ("honest_quarantined", Json.Bool honest_quarantined);
           ("healthy_end", Json.Bool healthy_end);
           ("shed_markers_durable", Json.Bool markers_durable);
           ("bytes_bounded", Json.Bool bytes_bounded);
           ("resource", Json.counters (D.resource_counters d));
           ("storage", Json.counters (D.storage_counters d));
-        ]
-    in
-    ((ok, wedged, survived), row)
+        ] )
   in
-  if not json then
-    Printf.printf
-      "nemesis: %d members + insider, %d seeds, ladder=%s, bound=%ds\n"
-      members seeds
-      (if no_degrade then "OFF (baseline)" else "on")
-      until_s;
-  let seed_list = List.init seeds (fun i -> Int64.of_int (i + 1)) in
-  let results = List.map one seed_list in
-  let count p = List.length (List.filter p results) in
-  let ok_n = count (fun ((o, _, _), _) -> o) in
-  let wedged_n = count (fun ((_, w, _), _) -> w) in
-  let survived_n = count (fun ((_, _, s), _) -> s) in
-  let all_ok = ok_n = seeds in
-  (* The degrade arm's per-seed outcomes feed the bench trajectory so
-     a regression (a seed that stops surviving, or pressure that stops
-     engaging) shows up in bench-diff's history. *)
-  if not no_degrade then
-    merge_bench_group ~path:out ~group:"nemesis"
-      (List.map
-         (fun (((_, _, s), _), seed) ->
-           Printf.sprintf
-             "{ \"group\": \"nemesis\", \"name\": \"nemesis/seed-%Ld\", \
-              \"ns_per_op\": null, \"survived\": %b }"
-             seed s)
-         (List.combine results seed_list));
-  if json then
-    Json.print
-      (Json.Obj
-         [
-           ("command", Json.Str "nemesis");
-           ("members", Json.Int members);
-           ("degrade", Json.Bool (not no_degrade));
-           ("runs", Json.Arr (List.map snd results));
-           ( "summary",
-             Json.Obj
-               [
-                 ("seeds", Json.Int seeds);
-                 ("survived", Json.Int survived_n);
-                 ("wedged", Json.Int wedged_n);
-                 ("ok", Json.Bool all_ok);
-               ] );
-         ])
-  else if no_degrade then
-    Printf.printf
-      "\n%d/%d seeds wedged without the ladder%s\n" wedged_n seeds
-      (if expect_wedge then
-         if all_ok then "  [expected: baseline wedges]"
-         else "  [FAIL: expected every seed to wedge]"
-       else "  [baseline: informational]")
-  else
-    Printf.printf "\n%d/%d seeds survived the omni-fault schedule\n" survived_n
-      seeds;
-  if all_ok then 0 else 1
-
-let nemesis_seeds_arg =
-  Arg.(value & opt int 5 & info [ "seeds" ] ~doc:"Sweep seeds 1..N")
-
-let nemesis_until_arg =
-  Arg.(
-    value & opt int 20
-    & info [ "until" ] ~doc:"Virtual-time bound in seconds per run")
+  let summary verdicts =
+    let ok_n = Scenario.count (fun (_, o, _, _) -> o) verdicts in
+    let wedged_n = Scenario.count (fun (_, _, w, _) -> w) verdicts in
+    let survived_n = Scenario.count (fun (_, _, _, s) -> s) verdicts in
+    let ok = ok_n = seeds in
+    (* The degrade arm's per-seed outcomes feed the bench trajectory so
+       a regression (a seed that stops surviving, or pressure that stops
+       engaging) shows up in bench-diff's history. *)
+    if not no_degrade then
+      Scenario.merge_bench_group ~path:out ~group:"nemesis"
+        (List.map
+           (fun (seed, _, _, s) ->
+             Printf.sprintf
+               "{ \"group\": \"nemesis\", \"name\": \"nemesis/seed-%Ld\", \
+                \"ns_per_op\": null, \"survived\": %b }"
+               seed s)
+           verdicts);
+    {
+      Scenario.ok;
+      fields =
+        [
+          ( "summary",
+            Json.Obj
+              [
+                ("seeds", Json.Int seeds);
+                ("survived", Json.Int survived_n);
+                ("wedged", Json.Int wedged_n);
+                ("ok", Json.Bool ok);
+              ] );
+        ];
+      text =
+        (if no_degrade then
+           Printf.sprintf "\n%d/%d seeds wedged without the ladder%s\n"
+             wedged_n seeds
+             (if not expect_wedge then "  [baseline: informational]"
+              else if ok then "  [expected: baseline wedges]"
+              else "  [FAIL: expected every seed to wedge]")
+         else
+           Printf.sprintf "\n%d/%d seeds survived the omni-fault schedule\n"
+             survived_n seeds);
+    }
+  in
+  Scenario.sweep ~command:"nemesis" ~json
+    ~params:
+      [ ("members", Json.Int members); ("degrade", Json.Bool (not no_degrade)) ]
+    ~header:
+      (Printf.sprintf
+         "nemesis: %d members + insider, %d seeds, ladder=%s, bound=%ds\n"
+         members seeds
+         (if no_degrade then "OFF (baseline)" else "on")
+         until_s)
+    ~summary one
+    (Scenario.seeds_from 1L seeds)
 
 let no_degrade_arg =
-  Arg.(
-    value & flag
-    & info [ "no-degrade" ]
-        ~doc:
-          "Disable the degraded-mode ladder (baseline arm): the first \
-           journal write the exhausted disk refuses propagates out of the \
-           leader instead of entering the ladder, wedging the run")
+  flag_arg "no-degrade"
+    "Disable the degraded-mode ladder (baseline arm): the first journal write \
+     the exhausted disk refuses propagates out of the leader instead of \
+     entering the ladder, wedging the run"
 
 let expect_wedge_arg =
-  Arg.(
-    value & flag
-    & info [ "expect-wedge" ]
-        ~doc:
-          "With --no-degrade: fail unless every seed wedges — keeps the \
-           baseline demonstrably load-bearing in CI")
-
-let nemesis_out_arg =
-  Arg.(
-    value
-    & opt string "BENCH_results.json"
-    & info [ "out" ]
-        ~doc:
-          "Bench trajectory file to merge the nemesis group into (timing \
-           rows are preserved)")
+  flag_arg "expect-wedge"
+    "With --no-degrade: fail unless every seed wedges — keeps the baseline \
+     demonstrably load-bearing in CI"
 
 let nemesis_cmd =
   let doc =
@@ -2282,9 +1614,9 @@ let nemesis_cmd =
   in
   Cmd.v (Cmd.info "nemesis" ~doc)
     Term.(
-      const run_nemesis $ chaos_members_arg $ nemesis_seeds_arg
-      $ nemesis_until_arg $ no_degrade_arg $ expect_wedge_arg
-      $ nemesis_out_arg $ json_arg $ verbose_arg $ sentinel_config_term)
+      const run_nemesis $ chaos_members_arg $ seeds_arg 5
+      $ until_arg 20 $ no_degrade_arg $ expect_wedge_arg
+      $ out_arg "nemesis" $ json_arg $ verbose_arg)
 
 (* --- keys --- *)
 
@@ -2317,3 +1649,4 @@ let () =
             failover_cmd; intrude_cmd; calibrate_cmd; nemesis_cmd;
             crash_matrix_cmd; keys_cmd;
           ]))
+

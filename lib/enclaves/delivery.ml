@@ -226,19 +226,32 @@ let rec shed_global t =
     | Some (_, member, q) -> if shed_oldest t member q then shed_global t
 
 let enforce_budgets t =
-  let before = t.counters.records_shed in
-  if over_global t then
-    Hashtbl.iter (fun member q -> compact_if_bloated t member q) t.queues;
-  Hashtbl.iter (fun member q -> shed_member t member q) t.queues;
-  shed_global t;
-  t.counters.records_shed - before
+  match t.budgets with
+  | { per_member_bytes = None; global_bytes = None } -> 0
+  | _ ->
+      let before = t.counters.records_shed in
+      if over_global t then
+        Hashtbl.iter (fun member q -> compact_if_bloated t member q) t.queues;
+      Hashtbl.iter (fun member q -> shed_member t member q) t.queues;
+      shed_global t;
+      t.counters.records_shed - before
+
+(* The one budget check. Every operation that appends to a queue —
+   a push, an [Ack], a drain-time or quarantine [Drop] — runs inside
+   [appending], so no append path can leave an image over its budget.
+   (Shedding appends too, but it runs inside the check, never around
+   it.) A drain's drops are checked once, after the whole batch. *)
+let appending t f =
+  let r = f () in
+  ignore (enforce_budgets t);
+  r
 
 let enqueue t ~member ~epoch x =
-  let q = queue_of t member in
-  guarded t member (fun () ->
-      ignore (Store.Queue.push q ~epoch (Wire.Admin.encode x)));
-  t.counters.queued <- t.counters.queued + 1;
-  ignore (enforce_budgets t)
+  appending t (fun () ->
+      let q = queue_of t member in
+      guarded t member (fun () ->
+          ignore (Store.Queue.push q ~epoch (Wire.Admin.encode x)));
+      t.counters.queued <- t.counters.queued + 1)
 
 (* The policy decision, per record. [age] is how many epochs the group
    rotated past the one the record was queued under: [age <= 0] is
@@ -255,6 +268,7 @@ let drain t ~member ~current_epoch =
   match Hashtbl.find_opt t.queues member with
   | None -> []
   | Some q ->
+      appending t @@ fun () ->
       let decide (e : Store.Queue.entry) =
         match Wire.Admin.decode e.Store.Queue.payload with
         | Error _ ->
@@ -292,12 +306,15 @@ let drain t ~member ~current_epoch =
 let ack t ~member ~upto =
   match Hashtbl.find_opt t.queues member with
   | None -> ()
-  | Some q -> guarded t member (fun () -> Store.Queue.ack q ~upto)
+  | Some q ->
+      appending t (fun () ->
+          guarded t member (fun () -> Store.Queue.ack q ~upto))
 
 let clear t ~member =
   match Hashtbl.find_opt t.queues member with
   | None -> ()
   | Some q ->
+      appending t @@ fun () ->
       List.iter
         (fun (e : Store.Queue.entry) ->
           guarded t member (fun () ->
@@ -314,6 +331,7 @@ let purge t ~member =
   match Hashtbl.find_opt t.queues member with
   | None -> 0
   | Some q ->
+      appending t @@ fun () ->
       let pending = Store.Queue.pending q in
       let n = List.length pending in
       List.iter

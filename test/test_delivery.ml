@@ -370,7 +370,7 @@ let test_symbolic_delivery_model () =
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"churned members apply each delivery exactly once"
-      ~count:8
+      ~count:8 ~long_factor:5
       QCheck.(int_range 1 10_000)
       (fun seed ->
         let members = 4 in
@@ -442,5 +442,5 @@ let suite =
         Alcotest.test_case "symbolic delivery model holds" `Quick
           test_symbolic_delivery_model;
       ]
-      @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
+      @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]

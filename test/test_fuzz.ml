@@ -217,6 +217,7 @@ let qcheck_tests =
         let replies = Leader.receive leader s in
         replies = []);
     QCheck.Test.make ~name:"live run survives in-flight bit flips" ~count:20
+      ~long_factor:5
       QCheck.(int_range 1 10_000)
       (fun seed ->
         let r =
@@ -228,6 +229,7 @@ let qcheck_tests =
         in
         coherent r);
     QCheck.Test.make ~name:"live run survives in-flight truncation" ~count:20
+      ~long_factor:5
       QCheck.(int_range 1 10_000)
       (fun seed ->
         let r =
@@ -239,6 +241,7 @@ let qcheck_tests =
         in
         coherent r);
     QCheck.Test.make ~name:"live run survives in-flight duplication" ~count:20
+      ~long_factor:5
       QCheck.(int_range 1 10_000)
       (fun seed ->
         let r =
@@ -252,6 +255,7 @@ let qcheck_tests =
            must fully converge, not merely stay coherent. *)
         coherent r && D.converged (fst r));
     QCheck.Test.make ~name:"sentinel verdicts deterministic per seed" ~count:15
+      ~long_factor:5
       QCheck.(int_range 1 10_000)
       (fun seed ->
         (* An insider campaign is a pure function of the seed: the same

@@ -29,8 +29,19 @@ let pending_seqs (state : Q.state) =
      state — a shed record missing its [Drop] marker would resurrect
      on replay and break the equality;
    - no queue's durable floor may ever regress;
-   - every byte bound holds on the durable images. *)
-let shed_storm seed =
+   - every byte bound holds on the durable images.
+
+   With [~bite] (the property's generator) the storm is non-vacuous by
+   construction: a run of [burst] consecutive pushes to a fourth
+   member, never acked, lands somewhere in it. Each push record carries
+   a 32-byte key plus framing, so the burst alone overflows the 256 B
+   per-member budget. Without [~bite] the storm is the original fully
+   random one, kept for the recorded regression seeds. *)
+let burst = 8
+
+type storm = { bounds_hold : bool; shed : int; sound : bool }
+
+let storm ~bite seed =
   let rng = Prng.Splitmix.create (Int64.of_int seed) in
   let mem = Store.Mem.create () in
   let fault = Store.Fault.create ~rng:(Prng.Splitmix.split rng) (Store.Mem.handle mem) in
@@ -40,6 +51,10 @@ let shed_storm seed =
   in
   let d = Delivery.create ~budgets ~disk:backend () in
   let members = [ "a"; "b"; "c" ] in
+  (* The burst's target: a queue nothing else touches, so no ack floor
+     raised by the random acks (their [upto] may run ahead of a
+     queue's seqs) can absorb its pushes. *)
+  let burster = "d" in
   let floors = Hashtbl.create 4 in
   let floor_ok = ref true in
   let check_floors () =
@@ -53,19 +68,24 @@ let shed_storm seed =
             let prev = Option.value ~default:(-1) (Hashtbl.find_opt floors m) in
             if f < prev then floor_ok := false;
             Hashtbl.replace floors m (max prev f))
-      members
+      (burster :: members)
   in
   let n = 30 + Prng.Splitmix.next_int rng 30 in
   let squeeze_at = 10 + Prng.Splitmix.next_int rng 10 in
   let release_at = squeeze_at + 5 + Prng.Splitmix.next_int rng 10 in
+  let burst_at = if bite then Prng.Splitmix.next_int rng (n - burst) else n in
+  let in_burst i = i >= burst_at && i < burst_at + burst in
   for i = 0 to n - 1 do
     if i = squeeze_at then
       Store.Fault.set_space_budget fault (Some (Store.Fault.bytes_used fault + 40));
     if i = release_at then Store.Fault.set_space_budget fault None;
-    let m = List.nth members (Prng.Splitmix.next_int rng 3) in
+    let m =
+      if in_burst i then burster
+      else List.nth members (Prng.Splitmix.next_int rng 3)
+    in
     Delivery.enqueue d ~member:m ~epoch:i (gk i);
     (* Random acks keep the floors moving so regression is observable. *)
-    if Prng.Splitmix.next_int rng 4 = 0 then
+    if (not (in_burst i)) && Prng.Splitmix.next_int rng 4 = 0 then
       Delivery.ack d ~member:m ~upto:(1 + Prng.Splitmix.next_int rng (i + 1));
     check_floors ()
   done;
@@ -85,11 +105,30 @@ let shed_storm seed =
          (fun (_, live) -> String.length live <= 256)
          (Delivery.files d)
   in
-  let shed = (Delivery.counters d).Delivery.records_shed in
-  flushed
-  && (not (Delivery.dirty d))
-  && durable_matches_live && bounds_hold && !floor_ok
-  && shed > 0 (* the storm must actually bite for the run to count *)
+  {
+    bounds_hold;
+    shed = (Delivery.counters d).Delivery.records_shed;
+    sound =
+      flushed && (not (Delivery.dirty d)) && durable_matches_live && !floor_ok;
+  }
+
+let shed_storm seed =
+  let r = storm ~bite:true seed in
+  r.sound && r.bounds_hold
+  && r.shed > 0 (* the storm must actually bite for the run to count *)
+
+(* Storms whose last operation was an [Ack] used to end with a queue
+   image of 265 B against the 256 B budget: budgets were enforced
+   after pushes only, and an [Ack] record extends the log too. *)
+let test_ack_respects_budget () =
+  List.iter
+    (fun seed ->
+      let r = storm ~bite:false seed in
+      Alcotest.(check bool) (Printf.sprintf "seed %d sound" seed) true r.sound;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d bounds hold" seed)
+        true r.bounds_hold)
+    [ 1622; 2049; 2696; 3336 ]
 
 (* --- ladder: monotone descent, single recovery --- *)
 
@@ -166,12 +205,12 @@ let test_crash_matrix_degraded () =
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"shed records always leave durable Drop markers"
-      ~count:40
+      ~count:40 ~long_factor:25
       QCheck.(int_range 1 100_000)
       shed_storm;
     QCheck.Test.make
       ~name:"ladder descends monotonically and recovers Healthy exactly once"
-      ~count:40
+      ~count:40 ~long_factor:25
       QCheck.(int_range 1 100_000)
       ladder_episode;
   ]
@@ -179,7 +218,11 @@ let qcheck_tests =
 let suite =
   [
     ( "pressure (budgets and ladder)",
-      Alcotest.test_case "degraded-mode crash matrix passes" `Quick
-        test_crash_matrix_degraded
-      :: List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
+      [
+        Alcotest.test_case "degraded-mode crash matrix passes" `Quick
+          test_crash_matrix_degraded;
+        Alcotest.test_case "acks never leave a queue over budget" `Quick
+          test_ack_respects_budget;
+      ]
+      @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]

@@ -412,7 +412,7 @@ let test_peer_record_demotes_lower_term () =
 (* --- the demotion cut: no acked record is ever lost --- *)
 
 let prop_acked_prefix_never_loses =
-  QCheck.Test.make ~count:80
+  QCheck.Test.make ~count:80 ~long_factor:5
     ~name:"demotion keeps every record acked under the common term"
     QCheck.(pair (int_range 1 30) (int_range 0 100))
     (fun (n_records, deliver_pct) ->
@@ -483,7 +483,7 @@ let shuffle rng l =
   Array.to_list a
 
 let prop_converges_after_mangling =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:60 ~long_factor:5
     ~name:"replica replay == primary replay after truncation/reorder/loss"
     QCheck.(
       triple (int_range 1 25) (small_list (int_range 0 2)) int64)

@@ -145,13 +145,13 @@ let prop_session_keys_agree ops =
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"random scenario: prefix property" ~count:60
-      script_arb prop_prefix;
+      ~long_factor:5 script_arb prop_prefix;
     QCheck.Test.make ~name:"random scenario: leader consistency" ~count:60
-      script_arb prop_leader_consistency;
+      ~long_factor:5 script_arb prop_leader_consistency;
     QCheck.Test.make ~name:"random scenario: app authenticity" ~count:60
-      script_arb prop_app_authentic;
+      ~long_factor:5 script_arb prop_app_authentic;
     QCheck.Test.make ~name:"random scenario: session key agreement" ~count:60
-      script_arb prop_session_keys_agree;
+      ~long_factor:5 script_arb prop_session_keys_agree;
   ]
 
 let suite =

@@ -281,7 +281,7 @@ let apply_workload j ops =
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"Mem and File hold byte-identical journal images"
-      ~count:60
+      ~count:60 ~long_factor:5
       (QCheck.make workload_gen)
       (fun ops ->
         with_scratch_dir (fun dir ->
@@ -305,7 +305,7 @@ let qcheck_tests =
             && List.for_all2 J.record_equal rm rf
             && J.state_of_records rm = J.state_of_records rf));
     QCheck.Test.make ~name:"load from either backend recovers the same state"
-      ~count:30
+      ~count:30 ~long_factor:5
       (QCheck.make workload_gen)
       (fun ops ->
         with_scratch_dir (fun dir ->
