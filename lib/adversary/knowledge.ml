@@ -7,6 +7,7 @@ module StringSet = Set.Make (String)
 type t = {
   mutable frames : F.t list;  (* decoded wire observations *)
   mutable key_material : StringSet.t;  (* raw 16-byte key strings *)
+  mutable keys : Key.t list;  (* one per [key_material] entry, newest first *)
   mutable plaintexts : StringSet.t;
   mutable observed : int;
 }
@@ -15,11 +16,21 @@ let create () =
   {
     frames = [];
     key_material = StringSet.empty;
+    keys = [];
     plaintexts = StringSet.empty;
     observed = 0;
   }
 
-let add_key t key = t.key_material <- StringSet.add (Key.raw key) t.key_material
+(* A harvested key is built (and its AEAD schedule derived) once, when
+   it is first learned. AEAD ignores the kind, so one [Key.t] per raw
+   key serves every protocol role. *)
+let add_raw t raw =
+  if not (StringSet.mem raw t.key_material) then begin
+    t.key_material <- StringSet.add raw t.key_material;
+    t.keys <- Key.of_raw Key.Session raw :: t.keys
+  end
+
+let add_key t key = add_raw t (Key.raw key)
 
 let observe t bytes =
   t.observed <- t.observed + 1;
@@ -39,20 +50,9 @@ let ad_candidates (frame : F.t) =
     "group:" ^ F.label_to_string frame.F.label;
   ]
 
-(* Keys can be used at any protocol role; try all kinds. *)
-let key_candidates t =
-  StringSet.fold
-    (fun raw acc ->
-      Key.of_raw Key.Long_term raw :: Key.of_raw Key.Session raw
-      :: Key.of_raw Key.Group raw :: acc)
-    t.key_material []
-
 (* Extract key material carried inside a recovered plaintext. *)
 let harvest_keys t plaintext =
-  let add raw =
-    if String.length raw = Key.size then
-      t.key_material <- StringSet.add raw t.key_material
-  in
+  let add raw = if String.length raw = Key.size then add_raw t raw in
   (match P.decode_auth_key_dist plaintext with
   | Ok { P.ka; _ } -> add ka
   | Error _ -> ());
@@ -84,7 +84,7 @@ let try_open t (frame : F.t) =
                   end
               | Error `Auth_failure -> ())
             (ad_candidates frame))
-        (key_candidates t)
+        t.keys
 
 let saturate t =
   (* Iterate until no new keys or plaintexts appear: recovered
@@ -102,9 +102,7 @@ let saturate t =
 
 let knows_key t key = StringSet.mem (Key.raw key) t.key_material
 
-let keys t =
-  StringSet.fold (fun raw acc -> Key.of_raw Key.Session raw :: acc)
-    t.key_material []
+let keys t = t.keys
 
 let plaintexts t = StringSet.elements t.plaintexts
 
@@ -113,11 +111,10 @@ let decrypt_app t bytes =
   | Error _ -> None
   | Ok frame when frame.F.label <> F.App_data -> None
   | Ok frame ->
-      let try_key raw acc =
+      let try_key acc key =
         match acc with
         | Some _ -> acc
         | None -> (
-            let key = Key.of_raw Key.Group raw in
             match Enclaves.Sealed_channel.open_group ~key frame with
             | Ok plaintext -> (
                 match P.decode_app_data plaintext with
@@ -125,7 +122,7 @@ let decrypt_app t bytes =
                 | Error _ -> None)
             | Error _ -> None)
       in
-      StringSet.fold try_key t.key_material None
+      List.fold_left try_key None t.keys
 
 let stats t =
   (t.observed, StringSet.cardinal t.key_material, StringSet.cardinal t.plaintexts)

@@ -34,6 +34,9 @@ val knows_key : t -> Sym_crypto.Key.t -> bool
 (** After {!saturate}: does the attacker hold this key? *)
 
 val keys : t -> Sym_crypto.Key.t list
+(** One key per known raw key, newest first, each built once when it
+    was learned. The kind is nominal: AEAD ignores it. *)
+
 val plaintexts : t -> string list
 (** All payload plaintexts recovered so far. *)
 

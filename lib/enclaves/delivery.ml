@@ -191,11 +191,11 @@ let shed_oldest t member q =
 
 (* A bloated log can exceed a byte bound while its snapshot would fit
    — resolved Push/Ack/Drop records cost bytes but carry no pending
-   data. Fold them away before paying with real records. (The +1
-   allows for the snapshot record itself: a freshly compacted queue is
-   never "bloated".) *)
+   data. Fold them away before paying with real records. The queue
+   counts those records since its last snapshot, so the test is exact:
+   a freshly compacted queue counts none. *)
 let compact_if_bloated t member q =
-  if Store.Queue.records q > Store.Queue.depth q + 1 then
+  if Store.Queue.resolved q > 0 then
     guarded t member (fun () -> Store.Queue.compact q)
 
 let rec shed_member t member q =

@@ -146,6 +146,7 @@ type t = {
   mutable nrecords : int;
   mutable next_fseq : int;
   mutable since_snapshot : int;
+  mutable resolved : int;  (* records since the snapshot with no pending data *)
   mutable observer : (event -> unit) option;
   (* Degraded-mode switch: with durability off the in-memory buffer
      keeps evolving but neither mirror shape touches the backend. The
@@ -215,6 +216,7 @@ let create ?(mac_key = default_mac_key) ?(compact_every = 64) ?disk
       nrecords = 0;
       next_fseq = 0;
       since_snapshot = 0;
+      resolved = 0;
       observer = None;
       durable;
     }
@@ -233,6 +235,7 @@ let floor t = t.st.floor
 let next_seq t = t.st.next_seq
 let depth t = List.length t.st.pending
 let records t = t.nrecords
+let resolved t = t.resolved
 let size t = Buffer.length t.buf
 let contents t = Buffer.contents t.buf
 let eio_retries t = t.eio_retries
@@ -256,14 +259,18 @@ let rewrite_as_snapshot t =
   t.nrecords <- 0;
   t.next_fseq <- 0;
   t.since_snapshot <- 0;
+  t.resolved <- 0;
   append_raw t (Snapshot st);
   disk_publish t;
   notify t (Published (Buffer.contents t.buf))
 
 let compact t = rewrite_as_snapshot t
 
-let append t record =
+(* [resolves]: the record leaves bytes in the log that carry no
+   pending data (counted by [resolved]). *)
+let append t ~resolves record =
   let off = Buffer.length t.buf in
+  if resolves then t.resolved <- t.resolved + 1;
   append_raw t record;
   t.since_snapshot <- t.since_snapshot + 1;
   if t.since_snapshot > t.compact_every then rewrite_as_snapshot t
@@ -275,14 +282,17 @@ let append t record =
 
 let push t ~epoch payload =
   let e = { seq = t.st.next_seq; epoch; payload } in
-  append t (Push e);
+  (* Below an ack floor that ran ahead of the queue, the entry is
+     resolved on arrival: the fold never makes it pending. *)
+  append t ~resolves:(e.seq < t.st.floor) (Push e);
   e
 
-let ack t ~upto = if upto > t.st.floor then append t (Ack { upto })
+let ack t ~upto =
+  if upto > t.st.floor then append t ~resolves:true (Ack { upto })
 
 let drop t ~seq =
   if List.exists (fun e -> e.seq = seq) t.st.pending then
-    append t (Drop { seq })
+    append t ~resolves:true (Drop { seq })
 
 (* --- replay: total on arbitrary bytes --- *)
 

@@ -101,6 +101,15 @@ val depth : t -> int
 (** [List.length (pending t)]. *)
 
 val records : t -> int
+
+val resolved : t -> int
+(** Records appended since the last snapshot that left bytes carrying
+    no pending data: every [Ack] and [Drop], and any [Push] below the
+    ack floor (which the fold ignores). An entry stops being pending
+    only through such a record, so [resolved t > 0] is exactly when
+    the log holds bytes {!compact} can fold away without losing a
+    pending entry. *)
+
 val size : t -> int
 val contents : t -> string
 val eio_retries : t -> int

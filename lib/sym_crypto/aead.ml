@@ -2,29 +2,25 @@ open Byteskit
 
 type sealed = { iv : string; ciphertext : string; tag : string }
 
-let enc_key key = Kdf.derive ~key:(Key.raw key) ~label:"aead-encrypt"
-let mac_key key = Kdf.derive ~key:(Key.raw key) ~label:"aead-mac"
-
 let mac_input ~iv ~ad ~ciphertext =
-  let w = Cursor.Writer.create () in
+  (* Sized up front (three u32 length prefixes): no buffer regrowth. *)
+  let n = String.length iv + String.length ad + String.length ciphertext in
+  let w = Cursor.Writer.create ~capacity:(12 + n) () in
   Cursor.Writer.bytes w iv;
   Cursor.Writer.bytes w ad;
   Cursor.Writer.bytes w ciphertext;
   Cursor.Writer.contents w
 
 let seal ~key ~iv ~ad plaintext =
-  let cipher = Feistel.of_key (enc_key key) in
-  let ciphertext = Ctr.transform cipher ~iv plaintext in
-  let tag = Mac.tag ~key:(mac_key key) (mac_input ~iv ~ad ~ciphertext) in
+  let ciphertext = Ctr.transform (Key.enc key) ~iv plaintext in
+  let tag = Mac.tag (Key.mac key) (mac_input ~iv ~ad ~ciphertext) in
   { iv; ciphertext; tag }
 
 let open_ ~key ~ad { iv; ciphertext; tag } =
   if
     String.length iv = Ctr.iv_size
-    && Mac.verify ~key:(mac_key key) (mac_input ~iv ~ad ~ciphertext) ~tag
-  then
-    let cipher = Feistel.of_key (enc_key key) in
-    Ok (Ctr.transform cipher ~iv ciphertext)
+    && Mac.verify (Key.mac key) (mac_input ~iv ~ad ~ciphertext) ~tag
+  then Ok (Ctr.transform (Key.enc key) ~iv ciphertext)
   else Error `Auth_failure
 
 let random_iv rng =

@@ -1,9 +1,12 @@
 (** Authenticated encryption with associated data: CTR +
     encrypt-then-MAC.
 
-    [seal] derives independent encryption and MAC subkeys from the
-    given key, encrypts with {!Ctr} under a caller-supplied fresh IV,
-    and appends a {!Mac} tag over [iv || associated data || ciphertext].
+    [seal] encrypts with the SipHash-PRF keystream of {!Ctr} under a
+    caller-supplied fresh IV and appends a {!Mac} tag over
+    [iv || associated data || ciphertext] (each length-prefixed). The
+    encryption and MAC subkeys are independent derivations of the key
+    ({!Key.enc}, {!Key.mac}), computed once when the {!Key.t} is built,
+    so sealing and opening derive nothing.
     [open_] rejects any frame whose tag does not verify — this is what
     makes forged or tampered protocol messages indistinguishable from
     network garbage, the property the improved Enclaves protocol leans

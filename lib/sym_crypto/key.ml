@@ -1,5 +1,13 @@
 type kind = Long_term | Session | Group
-type t = { kind : kind; material : string }
+(* [enc] and [mac] are the AEAD key schedule of [material], derived
+   once here. They are plain fields after [kind] and [material], so
+   polymorphic equality and ordering on keys are unchanged. *)
+type t = {
+  kind : kind;
+  material : string;
+  enc : Siphash.key;
+  mac : Mac.subkeys;
+}
 
 let size = 16
 
@@ -13,9 +21,16 @@ let kind t = t.kind
 let of_raw kind material =
   if String.length material <> size then
     invalid_arg "Key.of_raw: key must be 16 bytes";
-  { kind; material }
+  {
+    kind;
+    material;
+    enc = Siphash.key_of_string (Kdf.derive ~key:material ~label:"aead-encrypt");
+    mac = Mac.subkeys (Kdf.derive ~key:material ~label:"aead-mac");
+  }
 
 let raw t = t.material
+let enc t = t.enc
+let mac t = t.mac
 let long_term ~user ~password = of_raw Long_term (Kdf.of_password ~user ~password)
 
 let fresh kind rng =

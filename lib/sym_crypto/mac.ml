@@ -1,5 +1,7 @@
 let tag_size = 16
 
+type subkeys = { left : Siphash.key; right : Siphash.key }
+
 let subkeys key =
   if String.length key <> 16 then invalid_arg "Mac: key must be 16 bytes";
   let master = Siphash.key_of_string key in
@@ -7,11 +9,13 @@ let subkeys key =
     { Siphash.k0 = Siphash.hash master ("mac-subkey:" ^ label ^ ":0");
       k1 = Siphash.hash master ("mac-subkey:" ^ label ^ ":1") }
   in
-  (derive "left", derive "right")
+  { left = derive "left"; right = derive "right" }
 
-let tag ~key msg =
-  let left, right = subkeys key in
-  Siphash.hash_to_bytes left msg ^ Siphash.hash_to_bytes right msg
+let tag { left; right } msg =
+  let b = Bytes.create tag_size in
+  Bytes.set_int64_le b 0 (Siphash.hash left msg);
+  Bytes.set_int64_le b 8 (Siphash.hash right msg);
+  Bytes.unsafe_to_string b
 
-let verify ~key msg ~tag:t =
-  String.length t = tag_size && Byteskit.Bytes_ops.ct_equal (tag ~key msg) t
+let verify k msg ~tag:t =
+  String.length t = tag_size && Byteskit.Bytes_ops.ct_equal (tag k msg) t

@@ -2,7 +2,7 @@
 
     SipHash maps a 128-bit key and an arbitrary byte string to a 64-bit
     output. It is the single cryptographic primitive of this repository:
-    the block cipher, MAC and KDF are all built from it. The
+    the CTR keystream, MAC and KDF are all built from it. The
     implementation follows the reference specification and is validated
     against the published test vectors.
 
@@ -23,7 +23,13 @@ val key_to_string : key -> string
 (** Inverse of {!key_of_string}. *)
 
 val hash : key -> string -> int64
-(** [hash key msg] is the SipHash-2-4 output. *)
+(** [hash key msg] is the SipHash-2-4 output. It allocates nothing
+    beyond its boxed result. *)
+
+val hash2 : key -> int64 -> int64 -> int64
+(** [hash2 key a b] is [hash key (le64 a ^ le64 b)], the hash of the
+    16-byte message [a || b], computed without building that string
+    (the {!Ctr} keystream's PRF call). *)
 
 val hash_to_bytes : key -> string -> string
 (** [hash_to_bytes key msg] is {!hash} rendered as 8 little-endian

@@ -130,6 +130,30 @@ let test_ack_respects_budget () =
         true r.bounds_hold)
     [ 1622; 2049; 2696; 3336 ]
 
+(* The nemesis shape: a returning member's queue is one compacted
+   snapshot of seven pending records (293 B) against a 300 B budget,
+   and its [Ack] of the first record takes the log to 314 B. Compacting
+   folds the [Ack] away and fits, so nothing pending may be shed. A
+   bloat test of [records > depth + 1] saw two records against six
+   pending and shed one. *)
+let test_ack_compacts_before_shedding () =
+  let q = Q.create () in
+  for epoch = 1 to 7 do
+    let x = A.New_group_key { key = String.make 16 'k'; epoch } in
+    ignore (Q.push q ~epoch (A.encode x))
+  done;
+  Q.compact q;
+  Alcotest.(check int) "snapshot image" 293 (Q.size q);
+  let budgets = { Delivery.per_member_bytes = Some 300; global_bytes = None } in
+  let d =
+    Delivery.of_images ~budgets [ (Delivery.file_of_member "m", Q.contents q) ]
+  in
+  Delivery.ack d ~member:"m" ~upto:1;
+  Alcotest.(check int) "records shed" 0
+    (Delivery.counters d).Delivery.records_shed;
+  Alcotest.(check int) "pending kept" 6 (Delivery.depth d ~member:"m");
+  Alcotest.(check bool) "within budget" true (Delivery.total_bytes d <= 300)
+
 (* --- ladder: monotone descent, single recovery --- *)
 
 (* A leader over a fault-wrapped disk, driven through rekeys with an
@@ -223,6 +247,8 @@ let suite =
           test_crash_matrix_degraded;
         Alcotest.test_case "acks never leave a queue over budget" `Quick
           test_ack_respects_budget;
+        Alcotest.test_case "an ack compacts before it sheds" `Quick
+          test_ack_compacts_before_shedding;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]

@@ -1,5 +1,5 @@
-(* Tests for the crypto substrate: SipHash reference vectors, Feistel
-   permutation properties, CTR mode, MAC, KDF and AEAD. *)
+(* Tests for the crypto substrate: SipHash reference vectors, the
+   SipHash-PRF CTR keystream, MAC, KDF and AEAD. *)
 
 open Sym_crypto
 open Byteskit
@@ -43,101 +43,62 @@ let test_siphash_key_sensitivity () =
   Alcotest.(check bool) "different keys, different output" true
     (Siphash.hash k1 "msg" <> Siphash.hash k2 "msg")
 
-let test_feistel_roundtrip () =
-  let rng = Prng.Splitmix.create 1L in
-  let cipher = Feistel.of_key ref_key in
-  for _ = 1 to 50 do
-    let block = Bytes.unsafe_to_string (Prng.Splitmix.next_bytes rng 16) in
-    Alcotest.(check string)
-      "decrypt . encrypt = id" block
-      (Feistel.decrypt_block cipher (Feistel.encrypt_block cipher block))
-  done
-
-let test_feistel_permutation () =
-  (* distinct plaintexts must map to distinct ciphertexts *)
-  let cipher = Feistel.of_key ref_key in
-  let module S = Set.Make (String) in
-  let rng = Prng.Splitmix.create 2L in
-  let inputs =
-    List.init 200 (fun _ -> Bytes.unsafe_to_string (Prng.Splitmix.next_bytes rng 16))
-  in
-  let outputs = List.map (Feistel.encrypt_block cipher) inputs in
-  Alcotest.(check int) "injective"
-    (S.cardinal (S.of_list inputs))
-    (S.cardinal (S.of_list outputs))
-
-let test_feistel_key_separation () =
-  let c1 = Feistel.of_key ref_key in
-  let c2 = Feistel.of_key (Kdf.derive ~key:ref_key ~label:"other") in
-  let block = String.make 16 'A' in
-  Alcotest.(check bool) "different key, different ciphertext" true
-    (Feistel.encrypt_block c1 block <> Feistel.encrypt_block c2 block)
-
-let test_feistel_avalanche () =
-  let cipher = Feistel.of_key ref_key in
-  let b1 = String.make 16 '\x00' in
-  let b2 = "\x01" ^ String.make 15 '\x00' in
-  let c1 = Feistel.encrypt_block cipher b1
-  and c2 = Feistel.encrypt_block cipher b2 in
-  let diff = ref 0 in
-  String.iteri
-    (fun i c ->
-      let x = Char.code c lxor Char.code c2.[i] in
-      for bit = 0 to 7 do
-        if x land (1 lsl bit) <> 0 then incr diff
-      done)
-    c1;
-  (* 128-bit block: expect ~64 differing bits; accept a broad band. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "avalanche (%d bits differ)" !diff)
-    true
-    (!diff > 40 && !diff < 88)
+let ctr_key = Siphash.key_of_string ref_key
 
 let test_ctr_roundtrip () =
-  let cipher = Feistel.of_key ref_key in
   let iv = "12345678" in
   let msgs = [ ""; "x"; "hello world"; String.make 1000 'q' ] in
   List.iter
     (fun m ->
-      let c = Ctr.transform cipher ~iv m in
-      Alcotest.(check string) "roundtrip" m (Ctr.transform cipher ~iv c);
+      let c = Ctr.transform ctr_key ~iv m in
+      Alcotest.(check string) "roundtrip" m (Ctr.transform ctr_key ~iv c);
       if m <> "" then
         Alcotest.(check bool) "ciphertext differs" true (c <> m))
     msgs
 
 let test_ctr_iv_matters () =
-  let cipher = Feistel.of_key ref_key in
   let m = String.make 32 'm' in
-  let c1 = Ctr.transform cipher ~iv:"00000000" m in
-  let c2 = Ctr.transform cipher ~iv:"00000001" m in
+  let c1 = Ctr.transform ctr_key ~iv:"00000000" m in
+  let c2 = Ctr.transform ctr_key ~iv:"00000001" m in
   Alcotest.(check bool) "different IVs, different streams" true (c1 <> c2)
 
 let test_ctr_keystream_prefix () =
-  let cipher = Feistel.of_key ref_key in
-  let long = Ctr.keystream cipher ~iv:"abcdefgh" 100 in
-  let short = Ctr.keystream cipher ~iv:"abcdefgh" 40 in
+  let long = Ctr.keystream ctr_key ~iv:"abcdefgh" 100 in
+  let short = Ctr.keystream ctr_key ~iv:"abcdefgh" 40 in
   Alcotest.(check string) "prefix-consistent" short (String.sub long 0 40)
 
+(* Pinned keystream: word i is SipHash(key, iv || le64 i), computed
+   with an independent SipHash-2-4. 20 bytes covers two full words and
+   a 4-byte partial tail. *)
+let test_ctr_keystream_vector () =
+  Alcotest.(check string) "known answer"
+    "dda4087d4ce8c3128dbff08634cc8754ed4b2f6a"
+    (Hex.encode (Ctr.keystream ctr_key ~iv:"abcdefgh" 20))
+
+let mac_key = Mac.subkeys ref_key
+
 let test_mac_basic () =
-  let t = Mac.tag ~key:ref_key "message" in
+  let t = Mac.tag mac_key "message" in
   Alcotest.(check int) "tag size" Mac.tag_size (String.length t);
-  Alcotest.(check bool) "verifies" true (Mac.verify ~key:ref_key "message" ~tag:t);
+  Alcotest.(check bool) "verifies" true (Mac.verify mac_key "message" ~tag:t);
   Alcotest.(check bool) "wrong msg" false
-    (Mac.verify ~key:ref_key "messagf" ~tag:t);
+    (Mac.verify mac_key "messagf" ~tag:t);
   Alcotest.(check bool) "wrong key" false
-    (Mac.verify ~key:(Kdf.derive ~key:ref_key ~label:"x") "message" ~tag:t);
+    (Mac.verify
+       (Mac.subkeys (Kdf.derive ~key:ref_key ~label:"x"))
+       "message" ~tag:t);
   Alcotest.(check bool) "truncated tag" false
-    (Mac.verify ~key:ref_key "message" ~tag:(String.sub t 0 8))
+    (Mac.verify mac_key "message" ~tag:(String.sub t 0 8))
 
 let test_mac_bitflip () =
-  let t = Mac.tag ~key:ref_key "payload" in
+  let t = Mac.tag mac_key "payload" in
   for i = 0 to Mac.tag_size - 1 do
     let t' = Bytes.of_string t in
     Bytes.set t' i (Char.chr (Char.code t.[i] lxor 1));
     Alcotest.(check bool)
       (Printf.sprintf "flipped byte %d rejected" i)
       false
-      (Mac.verify ~key:ref_key "payload" ~tag:(Bytes.to_string t'))
+      (Mac.verify mac_key "payload" ~tag:(Bytes.to_string t'))
   done
 
 let test_kdf_password () =
@@ -249,22 +210,67 @@ let test_aead_decode_garbage () =
       | Ok _ -> Alcotest.fail "garbage decoded")
     [ ""; "xx"; String.make 3 '\xff' ]
 
+(* Sealing 1 KiB allocates its outputs, the MAC input and, per
+   keystream word, [hash2]'s boxed counter and result: nothing per
+   SipHash round and no key schedule. *)
+let test_aead_seal_allocation () =
+  let key = Key.of_raw Key.Session ref_key in
+  let msg = String.make 1024 'p' in
+  ignore (Aead.seal ~key ~iv:"12345678" ~ad:"ad" msg);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Aead.seal ~key ~iv:"12345678" ~ad:"ad" msg));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "seal 1 KiB: %.0f minor words <= 2048" words)
+    true (words <= 2048.)
+
+(* The AEAD composition rebuilt from the public primitives: CTR under
+   the "aead-encrypt" subkey, then a MAC under the "aead-mac" subkey
+   over the length-prefixed iv, ad and ciphertext. *)
+let reference_seal ~raw ~iv ~ad m =
+  let ciphertext =
+    Ctr.transform
+      (Siphash.key_of_string (Kdf.derive ~key:raw ~label:"aead-encrypt"))
+      ~iv m
+  in
+  let w = Cursor.Writer.create () in
+  List.iter (Cursor.Writer.bytes w) [ iv; ad; ciphertext ];
+  let tag =
+    Mac.tag
+      (Mac.subkeys (Kdf.derive ~key:raw ~label:"aead-mac"))
+      (Cursor.Writer.contents w)
+  in
+  { Aead.iv; ciphertext; tag }
+
+let le64 x =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 x;
+  Bytes.to_string b
+
 let qcheck_tests =
   let key16 = QCheck.string_of_size (QCheck.Gen.return 16) in
   [
-    QCheck.Test.make ~name:"feistel roundtrip" ~count:200
-      QCheck.(pair key16 (string_of_size (QCheck.Gen.return 16)))
-      (fun (k, b) ->
-        let c = Feistel.of_key k in
-        Feistel.decrypt_block c (Feistel.encrypt_block c b) = b);
+    QCheck.Test.make ~name:"siphash hash2 = hash of le64 a ^ le64 b"
+      ~count:200
+      QCheck.(triple key16 int64 int64)
+      (fun (k, a, b) ->
+        let k = Siphash.key_of_string k in
+        Siphash.hash2 k a b = Siphash.hash k (le64 a ^ le64 b));
     QCheck.Test.make ~name:"ctr involutive" ~count:200
       QCheck.(pair key16 string)
       (fun (k, m) ->
-        let c = Feistel.of_key k in
+        let c = Siphash.key_of_string k in
         Ctr.transform c ~iv:"00000000" (Ctr.transform c ~iv:"00000000" m) = m);
     QCheck.Test.make ~name:"mac verifies own tag" ~count:200
       QCheck.(pair key16 string)
-      (fun (k, m) -> Mac.verify ~key:k m ~tag:(Mac.tag ~key:k m));
+      (fun (k, m) ->
+        let k = Mac.subkeys k in
+        Mac.verify k m ~tag:(Mac.tag k m));
+    QCheck.Test.make ~name:"aead seal = reference composition" ~count:200
+      QCheck.(quad key16 (string_of_size (QCheck.Gen.return 8)) string string)
+      (fun (raw, iv, ad, m) ->
+        Aead.seal ~key:(Key.of_raw Key.Group raw) ~iv ~ad m
+        = reference_seal ~raw ~iv ~ad m);
     QCheck.Test.make ~name:"aead roundtrip" ~count:200
       QCheck.(triple key16 string string)
       (fun (k, ad, m) ->
@@ -288,13 +294,10 @@ let suite =
         Alcotest.test_case "siphash reference vectors" `Quick test_siphash_vectors;
         Alcotest.test_case "siphash key roundtrip" `Quick test_siphash_key_roundtrip;
         Alcotest.test_case "siphash key sensitivity" `Quick test_siphash_key_sensitivity;
-        Alcotest.test_case "feistel roundtrip" `Quick test_feistel_roundtrip;
-        Alcotest.test_case "feistel permutation" `Quick test_feistel_permutation;
-        Alcotest.test_case "feistel key separation" `Quick test_feistel_key_separation;
-        Alcotest.test_case "feistel avalanche" `Quick test_feistel_avalanche;
         Alcotest.test_case "ctr roundtrip" `Quick test_ctr_roundtrip;
         Alcotest.test_case "ctr iv matters" `Quick test_ctr_iv_matters;
         Alcotest.test_case "ctr keystream prefix" `Quick test_ctr_keystream_prefix;
+        Alcotest.test_case "ctr keystream vector" `Quick test_ctr_keystream_vector;
         Alcotest.test_case "mac basic" `Quick test_mac_basic;
         Alcotest.test_case "mac bitflip" `Quick test_mac_bitflip;
         Alcotest.test_case "kdf password" `Quick test_kdf_password;
@@ -308,6 +311,7 @@ let suite =
         Alcotest.test_case "aead tamper" `Quick test_aead_rejects_tamper;
         Alcotest.test_case "aead encode roundtrip" `Quick test_aead_encode_roundtrip;
         Alcotest.test_case "aead decode garbage" `Quick test_aead_decode_garbage;
+        Alcotest.test_case "aead seal allocation" `Quick test_aead_seal_allocation;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]
