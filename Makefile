@@ -1,4 +1,4 @@
-.PHONY: all build test qcheck-soak bench bench-smoke bench-diff verdicts chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
+.PHONY: all build test verify qcheck-soak bench bench-smoke bench-diff verdicts chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis calibrate crash-matrix journal-fuzz doc ci clean
 
 all: build
 
@@ -44,6 +44,14 @@ build:
 
 test:
 	dune runtest
+
+# The five bounded models (the §4 model, recovery, delivery, sentinel
+# and legacy planes) through both model-checker surfaces: each must
+# exit 0, i.e. every obligation holds on an exhaustive (untruncated)
+# exploration and the legacy model rediscovers every §2.3 attack.
+verify:
+	$(CLI) verify --legacy
+	dune exec examples/model_check.exe
 
 # Every qcheck property at its long count (QCHECK_LONG=1 multiplies
 # each runtime-heavy property's count by its long factor), on a fresh
@@ -202,7 +210,7 @@ doc:
 	  echo "doc: odoc not installed, skipping"; \
 	fi
 
-ci: build test qcheck-soak bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
+ci: build test verify qcheck-soak bench-smoke bench-diff chaos chaos-crash chaos-disk chaos-churn chaos-failover chaos-heal chaos-intrude chaos-frame chaos-nemesis crash-matrix journal-fuzz doc
 
 clean:
 	dune clean

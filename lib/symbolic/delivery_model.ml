@@ -208,61 +208,23 @@ let successors bounds q =
 
   !moves
 
-(* --- exploration: the same compact BFS as {!Recovery} --- *)
+(* --- exploration --- *)
 
-type result = {
-  states : state array;
-  index : (string, int) Hashtbl.t;
-  parents : (int * move) option array;
-  edges : (int * move * int) array;
-}
+module E = Explore.Make (struct
+  type nonrec state = state and move = move and config = bounds
+  let default_config = default_bounds
+  let initial = initial
+  let successors = successors
+  let canon = canon
+end)
+
+type result = E.result
 
 let explore ?(bounds = default_bounds) () =
-  let index = Hashtbl.create 1024 in
-  let states = ref [] and n_states = ref 0 in
-  let parents = ref [] in
-  let edges = ref [] and n_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern q parent =
-    let id = !n_states in
-    Hashtbl.add index (canon q) id;
-    states := q :: !states;
-    parents := parent :: !parents;
-    incr n_states;
-    Queue.add (id, q) queue;
-    id
-  in
-  ignore (intern initial None);
-  while not (Queue.is_empty queue) do
-    let id, q = Queue.pop queue in
-    List.iter
-      (fun (move, q') ->
-        let id' =
-          match Hashtbl.find_opt index (canon q') with
-          | Some id' -> id'
-          | None -> intern q' (Some (id, move))
-        in
-        edges := (id, move, id') :: !edges;
-        incr n_edges)
-      (successors bounds q)
-  done;
-  let of_rev_list n l =
-    match l with
-    | [] -> [||]
-    | hd :: _ ->
-        let a = Array.make n hd in
-        List.iteri (fun i x -> a.(n - 1 - i) <- x) l;
-        a
-  in
-  {
-    states = of_rev_list !n_states !states;
-    index;
-    parents = of_rev_list !n_states !parents;
-    edges = of_rev_list !n_edges !edges;
-  }
+  E.run ~config:bounds ~max_states:max_int ()
 
-let state_count r = Array.length r.states
-let edge_count r = Array.length r.edges
+let state_count = E.state_count
+let edge_count = E.edge_count
 
 let describe q =
   Format.asprintf
@@ -275,69 +237,21 @@ let describe q =
     (String.concat ";" (List.map string_of_int q.applied))
     (if q.dup_applied then " DUP" else "")
 
-let path_to r id =
-  let rec build id acc =
-    match r.parents.(id) with
-    | None -> acc
-    | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
-  in
-  build id []
-
-let render_path path =
-  String.concat " ; "
-    (List.map
-       (fun (move, q) -> Format.asprintf "%a => %s" pp_move move (describe q))
-       path)
-
-let max_violations = 3
-
-let state_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iteri
-    (fun id q ->
-      if not (p q) then begin
-        incr n;
-        if !n <= max_violations then
-          violations := render_path (path_to r id) :: !violations
-      end)
-    r.states;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.states;
-    violations = List.rev !violations;
-  }
-
-let edge_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iter
-    (fun (src, move, dst) ->
-      if not (p r.states.(src) move r.states.(dst)) then begin
-        incr n;
-        if !n <= max_violations then
-          violations :=
-            render_path (path_to r src @ [ (move, r.states.(dst)) ])
-            :: !violations
-      end)
-    r.edges;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.edges;
-    violations = List.rev !violations;
-  }
+let render move q = Format.asprintf "%a => %s" pp_move move (describe q)
 
 let reports r =
+  let state_report = E.state_report r ~render in
+  let edge_report = E.edge_report r ~render in
   let no_duplicate =
-    state_report r ~name:"no delivery applied twice" (fun q ->
+    state_report ~name:"no delivery applied twice" (fun q ->
         not q.dup_applied)
   in
   let no_regression =
-    edge_report r ~name:"delivery never regresses member epoch"
+    edge_report ~name:"delivery never regresses member epoch"
       (fun q _move q' -> q'.a_epoch >= q.a_epoch)
   in
   let stale_inert =
-    edge_report r ~name:"stale deliveries apply nothing" (fun q move q' ->
+    edge_report ~name:"stale deliveries apply nothing" (fun q move q' ->
         match move with
         | M_deliver { f_stale = true; _ } -> q'.a_epoch = q.a_epoch
         | _ -> true)
@@ -346,7 +260,7 @@ let reports r =
      really drained re-sealed, and both beyond-window arms really ran —
      the obligations above are not holding over an empty surface. *)
   let surface =
-    let exists p = Array.exists p r.states in
+    let exists p = E.find_state r p <> None in
     {
       Invariants.name = "delivery surface exercised";
       holds =
@@ -355,7 +269,7 @@ let reports r =
         && exists (fun q -> q.stale_delivered)
         && exists (fun q -> q.rejected)
         && exists (fun q -> q.dup_applied = false && q.applied <> []);
-      checked = Array.length r.states;
+      checked = state_count r;
       violations = [];
     }
   in

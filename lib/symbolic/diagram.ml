@@ -149,76 +149,45 @@ let box_invariant q box =
 
 (* --- Checks --- *)
 
-let max_violations = 5
-
-let make_report name checked violations =
-  {
-    Invariants.name;
-    holds = violations = [];
-    checked;
-    violations =
-      List.filteri (fun i _ -> i < max_violations) (List.rev violations);
-  }
-
 let describe q =
   Format.asprintf "usr=%a lead=%a" Model.pp_user_state q.Model.usr
     Model.pp_leader_state q.Model.lead
 
-let no_edge (_ : Model.state) (_ : Model.move) (_ : Model.state) = ()
-
-let one result c =
-  match Invariants.check_result result c with
-  | [ r ] -> r
-  | _ -> assert false
-
 let coverage_stream () =
-  let checked = ref 0 and violations = ref [] in
-  {
-    Invariants.on_state =
-      (fun q ->
-        incr checked;
-        match classify q with
-        | None ->
+  Invariants.state_checker "diagram coverage (5.3)" (fun checked violations q ->
+      incr checked;
+      match classify q with
+      | None ->
+          violations :=
+            ("unreachable shape reached: " ^ describe q) :: !violations
+      | Some box ->
+          if not (box_invariant q box) then
             violations :=
-              ("unreachable shape reached: " ^ describe q) :: !violations
-        | Some box ->
-            if not (box_invariant q box) then
-              violations :=
-                Format.asprintf "%s invariant fails at %s" (box_name box)
-                  (describe q)
-                :: !violations);
-    on_edge = no_edge;
-    finish =
-      (fun () -> [ make_report "diagram coverage (5.3)" !checked !violations ]);
-  }
+              Format.asprintf "%s invariant fails at %s" (box_name box)
+                (describe q)
+              :: !violations)
 
-let check_coverage result = one result (coverage_stream ())
+let check_coverage result = Invariants.one result (coverage_stream ())
 
 let edges_stream () =
-  let checked = ref 0 and violations = ref [] in
-  {
-    Invariants.on_state = (fun _ -> ());
-    on_edge =
-      (fun q move q' ->
-        incr checked;
-        match (classify q, classify q') with
-        | Some b, Some b' ->
-            let ok =
-              match move with
-              | Model.E_inject _ -> b = b'
-              | _ -> b = b' || List.mem b' (successors_of b)
-            in
-            if not ok then
-              violations :=
-                Format.asprintf "%s --%a--> %s not in diagram" (box_name b)
-                  Model.pp_move move (box_name b')
-                :: !violations
-        | _ -> violations := "edge touches unclassifiable state" :: !violations);
-    finish =
-      (fun () -> [ make_report "diagram edges (5.3)" !checked !violations ]);
-  }
+  Invariants.edge_checker "diagram edges (5.3)"
+    (fun checked violations q move q' ->
+      incr checked;
+      match (classify q, classify q') with
+      | Some b, Some b' ->
+          let ok =
+            match move with
+            | Model.E_inject _ -> b = b'
+            | _ -> b = b' || List.mem b' (successors_of b)
+          in
+          if not ok then
+            violations :=
+              Format.asprintf "%s --%a--> %s not in diagram" (box_name b)
+                Model.pp_move move (box_name b')
+              :: !violations
+      | _ -> violations := "edge touches unclassifiable state" :: !violations)
 
-let check_edges result = one result (edges_stream ())
+let check_edges result = Invariants.one result (edges_stream ())
 
 (* The paper's induction step for agents other than A and L: they can
    only replay protected fields, never mint new ones. For each state
@@ -226,50 +195,43 @@ let check_edges result = one result (edges_stream ())
    key, other than those already in the trace, is synthesizable from
    the intruder's knowledge. *)
 let intruder_obligations_stream ?(config = Model.default_config) () =
-  let checked = ref 0 and violations = ref [] in
   let nonce_pool =
     List.init config.Model.max_nonces (fun i -> i)
     @ List.init config.Model.intruder_fresh (fun i -> Model.intruder_atom_base + i)
   in
-  {
-    Invariants.on_state =
-      (fun q ->
-        match lead_key q with
-        | None -> ()
-        | Some ka ->
-            let parts = Model.trace_parts q in
-            let know =
-              Field.Set.add
-                (FNonce Model.intruder_atom_base)
-                (Model.intruder_knowledge ~config q)
-            in
-            let check_field f =
-              incr checked;
-              if (not (Field.Set.mem f parts)) && Closure.in_synth know f then
-                violations :=
-                  Format.asprintf "intruder can mint %a at %s" Field.pp f
-                    (describe q)
-                  :: !violations
-            in
-            check_field (FCrypt (Ka ka, FCat [ FAgent A; FAgent L ]));
-            List.iter
-              (fun n ->
-                List.iter
-                  (fun n' ->
-                    check_field
-                      (FCrypt
-                         ( Ka ka,
-                           FCat [ FAgent A; FAgent L; FNonce n; FNonce n' ] )))
-                  nonce_pool)
-              nonce_pool);
-    on_edge = no_edge;
-    finish =
-      (fun () ->
-        [ make_report "intruder cannot mint (5.3)" !checked !violations ]);
-  }
+  Invariants.state_checker "intruder cannot mint (5.3)"
+    (fun checked violations q ->
+      match lead_key q with
+      | None -> ()
+      | Some ka ->
+          let parts = Model.trace_parts q in
+          let know =
+            Field.Set.add
+              (FNonce Model.intruder_atom_base)
+              (Model.intruder_knowledge ~config q)
+          in
+          let check_field f =
+            incr checked;
+            if (not (Field.Set.mem f parts)) && Closure.in_synth know f then
+              violations :=
+                Format.asprintf "intruder can mint %a at %s" Field.pp f
+                  (describe q)
+                :: !violations
+          in
+          check_field (FCrypt (Ka ka, FCat [ FAgent A; FAgent L ]));
+          List.iter
+            (fun n ->
+              List.iter
+                (fun n' ->
+                  check_field
+                    (FCrypt
+                       ( Ka ka,
+                         FCat [ FAgent A; FAgent L; FNonce n; FNonce n' ] )))
+                nonce_pool)
+            nonce_pool)
 
 let check_intruder_obligations ?config result =
-  one result (intruder_obligations_stream ?config ())
+  Invariants.one result (intruder_obligations_stream ?config ())
 
 let visit_counts result =
   let counts = Hashtbl.create 16 in

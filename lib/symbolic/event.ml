@@ -62,3 +62,13 @@ end)
 
 let contents s =
   Set.fold (fun e acc -> Field.Set.add (content e) acc) s Field.Set.empty
+
+(* The apparent sender is deliberately ignored: it is unauthenticated. *)
+let events_with trace label recipient =
+  Set.fold
+    (fun e acc ->
+      match e with
+      | Msg m when m.label = label && m.recipient = recipient ->
+          m.content :: acc
+      | Msg _ | Oops _ -> acc)
+    trace []

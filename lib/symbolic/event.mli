@@ -47,3 +47,7 @@ module Set : Stdlib.Set.S with type elt = t
 
 val contents : Set.t -> Field.Set.t
 (** All contents of a trace — the paper's [trace(q)] underlined. *)
+
+val events_with : Set.t -> label -> Field.agent -> Field.t list
+(** Contents of the trace's messages with this label addressed to this
+    recipient, whatever their apparent (unauthenticated) sender. *)

@@ -1,12 +1,15 @@
-(** Exhaustive bounded state exploration of the symbolic model.
+(** Exhaustive bounded state exploration. One engine, [Make], runs all
+    five bounded models: the §4 {!Model} (this module's top level is
+    [Make (Model)]), {!Legacy_model}, {!Recovery}, {!Delivery_model}
+    and {!Sentinel_model}.
 
-    Level-synchronized breadth-first search from {!Model.initial} over
-    {!Model.successors}, deduplicating states by their canonical
-    serialization. Within the pool bounds of the configuration the
-    exploration is exhaustive: every reachable global state and every
-    transition is visited, so checking an invariant over the states
-    and an edge obligation over the edges discharges the corresponding
-    §5 proof obligation for the bounded instance.
+    Level-synchronized breadth-first search from the model's initial
+    state, deduplicating states by their canonical serialization.
+    Within the bounds of the configuration the exploration is
+    exhaustive: every reachable state and every transition is visited,
+    so checking an invariant over the states and an edge obligation
+    over the edges discharges the corresponding proof obligation for
+    the bounded instance.
 
     Canonical keys are interned: each state gets a dense integer id in
     discovery order, states live in an array indexed by id, and edges
@@ -30,27 +33,6 @@
     equals the number of edges {!iter_edges} visits. [truncated] is
     [frontier_dropped > 0]. *)
 
-type result = {
-  states : Model.state array;  (** id -> state, in discovery order *)
-  index : (string, int) Hashtbl.t;  (** interned canon -> id *)
-  edges : (int * Model.move * int) array;
-      (** deduplicated [(src, move, dst)] id triples; both endpoints
-          are always stored states *)
-  parents : (int * Model.move) option array;
-      (** BFS tree: id -> (discovering predecessor, move); [None] for
-          the initial state *)
-  truncated : bool;  (** true iff [max_states] stopped the search *)
-  frontier_dropped : int;
-      (** successor occurrences not stored (and not recorded as
-          edges) because the cap was reached; 0 on exhaustive runs *)
-}
-
-val run :
-  ?config:Model.config -> ?max_states:int -> ?jobs:int -> unit -> result
-(** [run ()] explores with {!Model.default_config} and a 200k-state
-    safety limit. [~jobs] (default 1) parallelizes successor
-    computation without changing any result. *)
-
 type stream_stats = {
   stream_states : int;  (** states stored (= what [run] would store) *)
   stream_edges : int;  (** deduplicated edges visited *)
@@ -58,41 +40,106 @@ type stream_stats = {
   stream_dropped : int;
 }
 
-val run_stream :
-  ?config:Model.config ->
-  ?max_states:int ->
-  ?jobs:int ->
-  ?on_state:(Model.state -> unit) ->
-  ?on_edge:(Model.state -> Model.move -> Model.state -> unit) ->
-  unit ->
-  stream_stats
-(** Memory-compact exploration: same search as {!run}, but states,
-    parents and edges are handed to the callbacks and dropped instead
-    of retained — only the canonical-key intern table is kept for
-    deduplication. [on_state] fires once per stored state (including
-    the initial state), [on_edge] once per deduplicated edge, in the
-    same order {!iter_states} / {!iter_edges} would visit them.
-    Counterexample reconstruction ({!path_to}) needs a retained
-    {!run}. *)
+(** The verdict of one obligation over an explored state space;
+    re-exported as {!Invariants.report}. *)
+type report = {
+  name : string;
+  holds : bool;
+  checked : int;  (** States or edges examined. *)
+  violations : string list;  (** Rendered counterexamples (capped). *)
+}
 
-val state_count : result -> int
-val edge_count : result -> int
+(** A model: states, moves, and the bounds ([config]) of an instance;
+    states are deduplicated by their [canon] key. *)
+module type MODEL = sig
+  type state
+  type move
+  type config
 
-val iter_states : result -> (Model.state -> unit) -> unit
+  val default_config : config
+  val initial : state
+  val successors : config -> state -> (move * state) list
+  val canon : state -> string
+end
 
-val iter_edges :
-  result -> (Model.state -> Model.move -> Model.state -> unit) -> unit
+module Make (M : MODEL) : sig
+  type state = M.state
+  type move = M.move
+  type config = M.config
 
-val find_state : result -> (Model.state -> bool) -> Model.state option
-(** First match in discovery (BFS) order — deterministic. *)
+  type result = {
+    states : state array;  (** id -> state, in discovery order *)
+    index : (string, int) Hashtbl.t;  (** interned canon -> id *)
+    edges : (int * move * int) array;
+        (** deduplicated [(src, move, dst)] id triples; both endpoints
+            are always stored states *)
+    parents : (int * move) option array;
+        (** BFS tree: id -> (discovering predecessor, move); [None] for
+            the initial state *)
+    truncated : bool;  (** true iff [max_states] stopped the search *)
+    frontier_dropped : int;
+        (** successor occurrences not stored (and not recorded as
+            edges) because the cap was reached; 0 on exhaustive runs *)
+  }
 
-val path_to : result -> Model.state -> (Model.move * Model.state) list
-(** [path_to r q] reconstructs a shortest path (BFS tree) from the
-    initial state to [q], as the list of (move, reached state) steps —
-    a concrete counterexample trace when [q] violates a property. *)
+  val run : ?config:config -> ?max_states:int -> ?jobs:int -> unit -> result
+  (** [run ()] explores with the model's [default_config] and a
+      200k-state safety limit. [~jobs] (default 1) parallelizes
+      successor computation without changing any result. *)
 
-val pp_path :
-  Format.formatter -> (Model.move * Model.state) list -> unit
+  val run_stream :
+    ?config:config ->
+    ?max_states:int ->
+    ?jobs:int ->
+    ?on_state:(state -> unit) ->
+    ?on_edge:(state -> move -> state -> unit) ->
+    unit ->
+    stream_stats
+  (** Memory-compact exploration: same search as {!run}, but states,
+      parents and edges are handed to the callbacks and dropped
+      instead of retained — only the canonical-key intern table is
+      kept for deduplication. [on_state] fires once per stored state
+      (including the initial state), [on_edge] once per deduplicated
+      edge, in the same order {!iter_states} / {!iter_edges} would
+      visit them. Counterexample reconstruction ({!path_to}) needs a
+      retained {!run}. *)
+
+  val state_count : result -> int
+  val edge_count : result -> int
+  val iter_states : result -> (state -> unit) -> unit
+  val iter_edges : result -> (state -> move -> state -> unit) -> unit
+
+  val find_state : result -> (state -> bool) -> state option
+  (** First match in discovery (BFS) order — deterministic. *)
+
+  val path_to : result -> state -> (move * state) list
+  (** [path_to r q] reconstructs a shortest path (BFS tree) from the
+      initial state to [q], as the list of (move, reached state) steps
+      — a concrete counterexample trace when [q] violates a property. *)
+
+  val state_report :
+    result ->
+    name:string ->
+    render:(move -> state -> string) ->
+    (state -> bool) ->
+    report
+  (** Check a predicate on every state. The first three violations
+      each contribute their BFS path, [render]ed step by step and
+      joined with [" ; "]. *)
+
+  val edge_report :
+    result ->
+    name:string ->
+    render:(move -> state -> string) ->
+    (state -> move -> state -> bool) ->
+    report
+  (** {!state_report} over the edges; a counterexample is the path to
+      the edge's source followed by the edge itself. *)
+end
+
+include module type of Make (Model)
+
+val pp_path : Format.formatter -> (Model.move * Model.state) list -> unit
 
 (** The seed engine (string-keyed hashtable, cons-list edge store,
     [List.length] counting), kept for differential benchmarking and as

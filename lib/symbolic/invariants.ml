@@ -1,6 +1,6 @@
 open Field
 
-type report = {
+type report = Explore.report = {
   name : string;
   holds : bool;
   checked : int;
@@ -35,9 +35,6 @@ let describe_state q =
     Model.pp_leader_state q.Model.lead
     (Event.Set.cardinal q.Model.trace)
 
-let no_state (_ : Model.state) = ()
-let no_edge (_ : Model.state) (_ : Model.move) (_ : Model.state) = ()
-
 let combine checkers =
   {
     on_state = (fun q -> List.iter (fun c -> c.on_state q) checkers);
@@ -54,43 +51,45 @@ let check_result result c =
 let one result c =
   match check_result result c with [ r ] -> r | _ -> assert false
 
-(* A checker built from a per-state predicate-style body. *)
+(* Single-report checkers: [f checked violations] is the per-state or
+   per-edge body. *)
 let state_checker name f =
   let checked = ref 0 and violations = ref [] in
   {
-    on_state = (fun q -> f checked violations q);
-    on_edge = no_edge;
+    on_state = f checked violations;
+    on_edge = (fun _ _ _ -> ());
+    finish = (fun () -> [ make_report name !checked !violations ]);
+  }
+
+let edge_checker name f =
+  let checked = ref 0 and violations = ref [] in
+  {
+    on_state = ignore;
+    on_edge = f checked violations;
     finish = (fun () -> [ make_report name !checked !violations ]);
   }
 
 let regularity_stream () =
-  let checked = ref 0 and violations = ref [] in
-  let on_edge q move q' =
-    match move with
-    | Model.E_inject _ -> ()
-    | Model.A_join | Model.A_recv_keydist | Model.A_recv_admin | Model.A_leave
-    | Model.L_recv_init | Model.L_recv_keyack | Model.L_send_admin
-    | Model.L_recv_ack | Model.L_recv_close ->
-        incr checked;
-        let added =
-          Field.Set.diff
-            (Event.contents q'.Model.trace)
-            (Event.contents q.Model.trace)
-        in
-        Field.Set.iter
-          (fun content ->
-            if Field.Set.mem (FKey Pa) (Closure.parts_of_field content) then
-              violations :=
-                Format.asprintf "%a sends Pa in %a" Model.pp_move move Field.pp
-                  content
-                :: !violations)
-          added
-  in
-  {
-    on_state = no_state;
-    on_edge;
-    finish = (fun () -> [ make_report "regularity (5.1)" !checked !violations ]);
-  }
+  edge_checker "regularity (5.1)" (fun checked violations q move q' ->
+      match move with
+      | Model.E_inject _ -> ()
+      | Model.A_join | Model.A_recv_keydist | Model.A_recv_admin | Model.A_leave
+      | Model.L_recv_init | Model.L_recv_keyack | Model.L_send_admin
+      | Model.L_recv_ack | Model.L_recv_close ->
+          incr checked;
+          let added =
+            Field.Set.diff
+              (Event.contents q'.Model.trace)
+              (Event.contents q.Model.trace)
+          in
+          Field.Set.iter
+            (fun content ->
+              if Field.Set.mem (FKey Pa) (Closure.parts_of_field content) then
+                violations :=
+                  Format.asprintf "%a sends Pa in %a" Model.pp_move move
+                    Field.pp content
+                  :: !violations)
+            added)
 
 let regularity result = one result (regularity_stream ())
 

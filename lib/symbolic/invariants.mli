@@ -5,7 +5,7 @@
     was verified in {e every} reachable state (or over every
     transition, for per-edge obligations) of the bounded instance. *)
 
-type report = {
+type report = Explore.report = {
   name : string;
   holds : bool;
   checked : int;  (** States or edges examined. *)
@@ -32,6 +32,23 @@ val combine : checker list -> checker
 val check_result : Explore.result -> checker -> report list
 (** Drive a checker over a retained exploration: all states first,
     then all edges, then [finish]. *)
+
+(** {2 Building checkers} (shared by {!Properties} and {!Diagram}) *)
+
+val state_checker :
+  string -> (int ref -> string list ref -> Model.state -> unit) -> checker
+(** A single-report checker from a per-state body that bumps [checked]
+    and conses rendered violations. *)
+
+val edge_checker :
+  string ->
+  (int ref -> string list ref -> Model.state -> Model.move -> Model.state ->
+  unit) ->
+  checker
+(** {!state_checker} over the edges. *)
+
+val one : Explore.result -> checker -> report
+(** Run a single-report checker over a retained exploration. *)
 
 val stream : ?config:Model.config -> unit -> checker
 (** Streaming form of {!all}: the five §5.1/§5.2 secrecy checks. *)

@@ -85,15 +85,6 @@ let pp_move fmt = function
   | L_recv_req_close -> Format.pp_print_string fmt "L:recv-req-close!"
   | E_inject l -> Format.fprintf fmt "E:inject-%a" Event.pp_label l
 
-let events_with trace label recipient =
-  Event.Set.fold
-    (fun e acc ->
-      match e with
-      | Event.Msg m when m.label = label && m.recipient = recipient ->
-          m.content :: acc
-      | Event.Msg _ | Event.Oops _ -> acc)
-    trace []
-
 let add_msg q ~label ~sender ~recipient ~content =
   {
     q with
@@ -140,7 +131,7 @@ let successors bounds q =
   (* A: on AckOpen -> start authentication. *)
   (match q.mem with
   | M_waiting_ack when q.next_nonce < bounds.max_nonces ->
-      if events_with q.trace Event.LAckOpen A <> [] then begin
+      if Event.events_with q.trace Event.LAckOpen A <> [] then begin
         let n1 = q.next_nonce in
         add A_recv_ack_open
           (add_msg
@@ -154,7 +145,7 @@ let successors bounds q =
      authenticated. *)
   (match q.mem with
   | M_waiting_ack | M_waiting_auth2 _ ->
-      if events_with q.trace Event.LConnDenied A <> [] then
+      if Event.events_with q.trace Event.LConnDenied A <> [] then
         add A_recv_denied { q with mem = M_denied }
   | _ -> ());
 
@@ -176,7 +167,7 @@ let successors bounds q =
                    ~label:Event.LAuth3 ~sender:A ~recipient:L
                    ~content:(auth3_content n2))
           | _ -> ())
-        (events_with q.trace Event.LAuth2 A)
+        (Event.events_with q.trace Event.LAuth2 A)
   | _ -> ());
 
   (* A: on NewKey — accepted with NO freshness evidence (the §2.3
@@ -192,7 +183,7 @@ let successors bounds q =
               add (A_recv_new_key e)
                 { q with mem = M_connected { epoch = e; sees_b } }
           | _ -> ())
-        (events_with q.trace Event.LNewKey A)
+        (Event.events_with q.trace Event.LNewKey A)
   | _ -> ());
 
   (* A: on MemRemoved under the CURRENT group key -> drop B from the
@@ -200,7 +191,8 @@ let successors bounds q =
   (match q.mem with
   | M_connected { epoch; sees_b = true } ->
       let matches content = Field.equal content (mem_removed_content epoch) in
-      if List.exists matches (events_with q.trace Event.LMemRemoved A) then
+      let removals = Event.events_with q.trace Event.LMemRemoved A in
+      if List.exists matches removals then
         add A_recv_mem_removed
           { q with mem = M_connected { epoch; sees_b = false } }
   | _ -> ());
@@ -208,7 +200,7 @@ let successors bounds q =
   (* L: pre-auth. *)
   (match q.lead with
   | L_idle ->
-      if events_with q.trace Event.LReqOpen L <> [] then
+      if Event.events_with q.trace Event.LReqOpen L <> [] then
         add L_recv_req_open
           (add_msg { q with lead = L_waiting_auth1 } ~label:Event.LAckOpen
              ~sender:L ~recipient:A ~content:(FAgent L))
@@ -228,7 +220,7 @@ let successors bounds q =
                    ~label:Event.LAuth2 ~sender:L ~recipient:A
                    ~content:(auth2_content n1 n2 q.lead_epoch))
           | _ -> ())
-        (events_with q.trace Event.LAuth1 L)
+        (Event.events_with q.trace Event.LAuth1 L)
   | _ -> ());
 
   (* L: on Auth3 -> session established. *)
@@ -236,7 +228,8 @@ let successors bounds q =
   | L_waiting_auth3 n2 ->
       let expected = auth3_content n2 in
       if
-        List.exists (Field.equal expected) (events_with q.trace Event.LAuth3 L)
+        List.exists (Field.equal expected)
+          (Event.events_with q.trace Event.LAuth3 L)
       then add L_recv_auth3 { q with lead = L_in_session }
   | _ -> ());
 
@@ -256,7 +249,7 @@ let successors bounds q =
       if
         List.exists
           (Field.equal req_close_content)
-          (events_with q.trace Event.LReqClose L)
+          (Event.events_with q.trace Event.LReqClose L)
       then add L_recv_req_close { q with lead = L_idle }
   | _ -> ());
 
@@ -280,91 +273,23 @@ let successors bounds q =
   | _ -> ());
   !moves
 
-(* --- Exploration (self-contained BFS with parent tracking) ---
+(* --- Exploration --- *)
 
-   Same compact layout as {!Explore}: states interned to dense ids in
-   discovery order, edges as id triples — one canonical string per
-   state instead of string-keyed tables and a string cons-list. *)
+module E = Explore.Make (struct
+  type nonrec state = state and move = move and config = bounds
+  let default_config = default_bounds
+  let initial = initial
+  let successors = successors
+  let canon = canon
+end)
 
-type result = {
-  states : state array;
-  index : (string, int) Hashtbl.t;
-  parents : (int * move) option array;
-  edges : (int * move * int) array;
-}
+type result = E.result
 
 let explore ?(bounds = default_bounds) () =
-  let index = Hashtbl.create 1024 in
-  let states = ref [] and n_states = ref 0 in
-  let parents = ref [] in
-  let edges = ref [] and n_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern q parent =
-    let id = !n_states in
-    Hashtbl.add index (canon q) id;
-    states := q :: !states;
-    parents := parent :: !parents;
-    incr n_states;
-    Queue.add (id, q) queue;
-    id
-  in
-  ignore (intern initial None);
-  while not (Queue.is_empty queue) do
-    let id, q = Queue.pop queue in
-    List.iter
-      (fun (move, q') ->
-        let id' =
-          match Hashtbl.find_opt index (canon q') with
-          | Some id' -> id'
-          | None -> intern q' (Some (id, move))
-        in
-        edges := (id, move, id') :: !edges;
-        incr n_edges)
-      (successors bounds q)
-  done;
-  let of_rev_list n l =
-    match l with
-    | [] -> [||]
-    | hd :: _ ->
-        let a = Array.make n hd in
-        List.iteri (fun i x -> a.(n - 1 - i) <- x) l;
-        a
-  in
-  {
-    states = of_rev_list !n_states !states;
-    index;
-    parents = of_rev_list !n_states !parents;
-    edges = of_rev_list !n_edges !edges;
-  }
+  E.run ~config:bounds ~max_states:max_int ()
 
-let state_count r = Array.length r.states
-
-let path_to r q =
-  match Hashtbl.find_opt r.index (canon q) with
-  | None -> []
-  | Some id ->
-      let rec build id acc =
-        match r.parents.(id) with
-        | None -> acc
-        | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
-      in
-      build id []
-
-let render_path path =
-  List.map
-    (fun (move, q) ->
-      Format.asprintf "%a  =>  mem=%a lead=%a epoch=%d" pp_move move
-        pp_member_state q.mem pp_leader_state q.lead q.lead_epoch)
-    path
-
-let find r p =
-  let n = Array.length r.states in
-  let rec go i =
-    if i >= n then None
-    else if p r.states.(i) then Some r.states.(i)
-    else go (i + 1)
-  in
-  go 0
+let state_count = E.state_count
+let edge_count = E.edge_count
 
 type finding = {
   weakness : string;
@@ -373,33 +298,28 @@ type finding = {
   trace : string list;
 }
 
-let reach_finding r ~weakness ~description p =
-  match find r p with
-  | Some q -> { weakness; description; violated = true; trace = render_path (path_to r q) }
+(* One rendered line per step of the counterexample path. *)
+let finding ~weakness ~description = function
   | None -> { weakness; description; violated = false; trace = [] }
+  | Some path ->
+      let step (move, q) =
+        Format.asprintf "%a  =>  mem=%a lead=%a epoch=%d" pp_move move
+          pp_member_state q.mem pp_leader_state q.lead q.lead_epoch
+      in
+      { weakness; description; violated = true; trace = List.map step path }
+
+let reach_finding r ~weakness ~description p =
+  finding ~weakness ~description (Option.map (E.path_to r) (E.find_state r p))
 
 (* First edge (in discovery order) whose endpoints satisfy [p]. *)
-let find_edge r p =
-  let n = Array.length r.edges in
-  let rec go i =
-    if i >= n then None
-    else
-      let ((src, move, dst) as e) = r.edges.(i) in
-      if p r.states.(src) move r.states.(dst) then Some e else go (i + 1)
-  in
-  go 0
-
-let edge_finding r ~weakness ~description p =
-  match find_edge r p with
-  | Some (src, move, dst) ->
-      let q_src = r.states.(src) and q_dst = r.states.(dst) in
-      {
-        weakness;
-        description;
-        violated = true;
-        trace = render_path (path_to r q_src @ [ (move, q_dst) ]);
-      }
-  | None -> { weakness; description; violated = false; trace = [] }
+let edge_finding (r : result) ~weakness ~description p =
+  finding ~weakness ~description
+    (Array.find_map
+       (fun (src, move, dst) ->
+         let q_src = r.states.(src) and q_dst = r.states.(dst) in
+         if p q_src move q_dst then Some (E.path_to r q_src @ [ (move, q_dst) ])
+         else None)
+       r.edges)
 
 let findings ?(bounds = default_bounds) r =
   let w1 =

@@ -64,6 +64,7 @@ type result
 
 val explore : ?bounds:bounds -> unit -> result
 val state_count : result -> int
+val edge_count : result -> int
 
 type finding = {
   weakness : string;  (** "W1".."W4" or "Pa-secrecy" *)

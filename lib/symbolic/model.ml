@@ -143,17 +143,6 @@ let in_use q k =
       k = k'
   | L_not_connected -> false
 
-(* Contents of trace events with a given label and recipient; the
-   apparent sender is deliberately ignored (it is unauthenticated). *)
-let events_with trace label recipient =
-  Event.Set.fold
-    (fun e acc ->
-      match e with
-      | Event.Msg m when m.label = label && m.recipient = recipient ->
-          m.content :: acc
-      | Event.Msg _ | Event.Oops _ -> acc)
-    trace []
-
 let add_msg q ~label ~sender ~recipient ~content =
   { q with trace = Event.Set.add (Event.Msg { label; sender; recipient; content }) q.trace }
 
@@ -265,7 +254,7 @@ let successors cfg q =
               in
               add A_recv_keydist q'
           | None -> ())
-        (events_with q.trace Event.AuthKeyDist A)
+        (Event.events_with q.trace Event.AuthKeyDist A)
   | U_not_connected | U_waiting_for_key _ | U_connected _ -> ());
 
   (* A: receive AdminMsg. *)
@@ -289,7 +278,7 @@ let successors cfg q =
               in
               add A_recv_admin q'
           | None -> ())
-        (events_with q.trace Event.AdminMsg A)
+        (Event.events_with q.trace Event.AdminMsg A)
   | U_not_connected | U_waiting_for_key _ | U_connected _ -> ());
 
   (* A: leave. *)
@@ -326,7 +315,7 @@ let successors cfg q =
               in
               add L_recv_init q'
           | None -> ())
-        (events_with q.trace Event.AuthInitReq L)
+        (Event.events_with q.trace Event.AuthInitReq L)
   | L_not_connected | L_waiting_for_key_ack _ | L_connected _
   | L_waiting_for_ack _ ->
       ());
@@ -341,7 +330,7 @@ let successors cfg q =
               add L_recv_keyack
                 { q with lead = L_connected (n3, ka); accepts = q.accepts + 1 }
           | None -> ())
-        (events_with q.trace Event.AuthAckKey L)
+        (Event.events_with q.trace Event.AuthAckKey L)
   | L_not_connected | L_connected _ | L_waiting_for_ack _ -> ());
 
   (* L: send an admin message. *)
@@ -376,14 +365,14 @@ let successors cfg q =
           match match_ack ka nl content with
           | Some n' -> add L_recv_ack { q with lead = L_connected (n', ka) }
           | None -> ())
-        (events_with q.trace Event.Ack L)
+        (Event.events_with q.trace Event.Ack L)
   | L_not_connected | L_waiting_for_key_ack _ | L_connected _ -> ());
 
   (* L: receive ReqClose (from any in-session state) + Oops(Ka). *)
   (match q.lead with
   | L_waiting_for_key_ack (_, ka) | L_connected (_, ka) | L_waiting_for_ack (_, ka)
     ->
-      let closes = events_with q.trace Event.ReqClose L in
+      let closes = Event.events_with q.trace Event.ReqClose L in
       if List.exists (fun c -> match_close ~config:cfg ka c <> None) closes then
         add L_recv_close
           (add_oops { q with lead = L_not_connected; snd = [] } (FKey (Ka ka)))

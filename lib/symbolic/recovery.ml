@@ -385,61 +385,23 @@ let successors bounds q =
 
   !moves
 
-(* --- exploration: the same compact BFS as {!Legacy_model} --- *)
+(* --- exploration --- *)
 
-type result = {
-  states : state array;
-  index : (string, int) Hashtbl.t;
-  parents : (int * move) option array;
-  edges : (int * move * int) array;
-}
+module E = Explore.Make (struct
+  type nonrec state = state and move = move and config = bounds
+  let default_config = default_bounds
+  let initial = initial
+  let successors = successors
+  let canon = canon
+end)
+
+type result = E.result
 
 let explore ?(bounds = default_bounds) () =
-  let index = Hashtbl.create 1024 in
-  let states = ref [] and n_states = ref 0 in
-  let parents = ref [] in
-  let edges = ref [] and n_edges = ref 0 in
-  let queue = Queue.create () in
-  let intern q parent =
-    let id = !n_states in
-    Hashtbl.add index (canon q) id;
-    states := q :: !states;
-    parents := parent :: !parents;
-    incr n_states;
-    Queue.add (id, q) queue;
-    id
-  in
-  ignore (intern initial None);
-  while not (Queue.is_empty queue) do
-    let id, q = Queue.pop queue in
-    List.iter
-      (fun (move, q') ->
-        let id' =
-          match Hashtbl.find_opt index (canon q') with
-          | Some id' -> id'
-          | None -> intern q' (Some (id, move))
-        in
-        edges := (id, move, id') :: !edges;
-        incr n_edges)
-      (successors bounds q)
-  done;
-  let of_rev_list n l =
-    match l with
-    | [] -> [||]
-    | hd :: _ ->
-        let a = Array.make n hd in
-        List.iteri (fun i x -> a.(n - 1 - i) <- x) l;
-        a
-  in
-  {
-    states = of_rev_list !n_states !states;
-    index;
-    parents = of_rev_list !n_states !parents;
-    edges = of_rev_list !n_edges !edges;
-  }
+  E.run ~config:bounds ~max_states:max_int ()
 
-let state_count r = Array.length r.states
-let edge_count r = Array.length r.edges
+let state_count = E.state_count
+let edge_count = E.edge_count
 
 let pp_role fmt = function
   | Sourcing t -> Format.fprintf fmt "Sourcing(%d)" t
@@ -451,55 +413,7 @@ let describe q =
     q.l_role pp_role q.s_role q.l_sess q.s_sess q.a_epoch q.a_closed q.minted
     q.partitioned
 
-let path_to r id =
-  let rec build id acc =
-    match r.parents.(id) with
-    | None -> acc
-    | Some (parent, move) -> build parent ((move, r.states.(id)) :: acc)
-  in
-  build id []
-
-let render_path path =
-  String.concat " ; "
-    (List.map (fun (move, q) -> Format.asprintf "%a => %s" pp_move move (describe q)) path)
-
-let max_violations = 3
-
-let state_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iteri
-    (fun id q ->
-      if not (p q) then begin
-        incr n;
-        if !n <= max_violations then
-          violations := render_path (path_to r id) :: !violations
-      end)
-    r.states;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.states;
-    violations = List.rev !violations;
-  }
-
-let edge_report r ~name p =
-  let violations = ref [] and n = ref 0 in
-  Array.iter
-    (fun (src, move, dst) ->
-      if not (p r.states.(src) move r.states.(dst)) then begin
-        incr n;
-        if !n <= max_violations then
-          violations :=
-            render_path (path_to r src @ [ (move, r.states.(dst)) ])
-            :: !violations
-      end)
-    r.edges;
-  {
-    Invariants.name;
-    holds = !n = 0;
-    checked = Array.length r.edges;
-    violations = List.rev !violations;
-  }
+let render move q = Format.asprintf "%a => %s" pp_move move (describe q)
 
 (* A demotion edge (some manager drops from Sourcing to Backup by a
    frame delivery) is legitimate iff the frame is sealed under K_r,
@@ -533,16 +447,18 @@ let live_sess q =
   match q.s_role with Sourcing t when t = q.minted -> q.s_sess | _ -> false
 
 let reports r =
+  let state_report = E.state_report r ~render in
+  let edge_report = E.edge_report r ~render in
   let no_resurrection =
-    state_report r ~name:"no closed-session resurrection" (fun q ->
+    state_report ~name:"no closed-session resurrection" (fun q ->
         not (q.a_closed && live_sess q))
   in
   let no_regression =
-    edge_report r ~name:"member epoch never regresses" (fun q _move q' ->
+    edge_report ~name:"member epoch never regresses" (fun q _move q' ->
         q'.a_epoch >= q.a_epoch)
   in
   let no_forged_demotion =
-    edge_report r ~name:"no forged/replayed demotion" (fun q move q' ->
+    edge_report ~name:"no forged/replayed demotion" (fun q move q' ->
         let dropped target =
           match (role_of q target, role_of q' target) with
           | Sourcing _, Backup _ -> true
@@ -555,14 +471,14 @@ let reports r =
      a genuine heal-path demotion is really reachable — the three
      obligations above are not holding over an empty attack surface. *)
   let surface =
-    let exists p = Array.exists p r.states in
+    let exists p = E.find_state r p <> None in
     let demote_edge =
       Array.exists
         (fun (src, _m, dst) ->
-          match (r.states.(src).l_role, r.states.(dst).l_role) with
+          match (r.E.states.(src).l_role, r.E.states.(dst).l_role) with
           | Sourcing _, Backup _ -> true
           | _ -> false)
-        r.edges
+        r.E.edges
     in
     {
       Invariants.name = "attack surface exercised";
@@ -571,7 +487,7 @@ let reports r =
         && exists (fun q -> q.replayed_rejected)
         && exists (fun q -> q.a_closed)
         && demote_edge;
-      checked = Array.length r.states + Array.length r.edges;
+      checked = state_count r + edge_count r;
       violations = [];
     }
   in

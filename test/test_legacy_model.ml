@@ -16,6 +16,21 @@ let test_explores () =
   Alcotest.(check bool) "nontrivial state space" true
     (Legacy_model.state_count r > 100)
 
+(* Exact counts at the three bounds this file explores: default, no
+   insider group key, and a single epoch. *)
+let test_pinned_counts () =
+  let counts bounds =
+    let r = Legacy_model.explore ~bounds () in
+    (Legacy_model.state_count r, Legacy_model.edge_count r)
+  in
+  let check name expected got =
+    Alcotest.(check (pair int int)) name expected got
+  in
+  let b = Legacy_model.default_bounds in
+  check "default" (319, 691) (counts b);
+  check "insider_epochs = 0" (75, 131) (counts { b with insider_epochs = 0 });
+  check "max_epoch = 1" (49, 73) (counts { b with max_epoch = 1 })
+
 let check_attack_found w =
   let f = find_weakness w in
   Alcotest.(check bool) (w ^ " reachable") true f.Legacy_model.violated;
@@ -76,6 +91,7 @@ let suite =
     ( "legacy symbolic model (§2.3)",
       [
         Alcotest.test_case "explores" `Quick test_explores;
+        Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
         Alcotest.test_case "W1 forged denial found" `Quick test_w1;
         Alcotest.test_case "W2 forged removal found" `Quick test_w2;
         Alcotest.test_case "W3 epoch regression found" `Quick test_w3;

@@ -471,6 +471,72 @@ let test_recovery_larger_bounds () =
         true r.Invariants.holds)
     reports
 
+(* --- Pinned counts of the plane models and the shared reports --- *)
+
+(* Exact state/edge counts of each plane model at the bounds the CLI
+   and the tests use: any change to a model or to the engine that
+   moves them is deliberate and must re-pin them. *)
+let check_counts name (states, edges) (states', edges') =
+  Alcotest.(check int) (name ^ " states") states states';
+  Alcotest.(check int) (name ^ " edges") edges edges'
+
+let test_recovery_pinned_counts () =
+  let r = Lazy.force explored_recovery in
+  check_counts "default" (1274, 7004)
+    (Recovery.state_count r, Recovery.edge_count r);
+  let bounds = { Recovery.max_epoch = 4; max_minted = 4 } in
+  let r = Recovery.explore ~bounds () in
+  check_counts "4/4" (2674, 15706)
+    (Recovery.state_count r, Recovery.edge_count r)
+
+let test_delivery_pinned_counts () =
+  let r = Delivery_model.explore () in
+  check_counts "default" (4910, 19368)
+    (Delivery_model.state_count r, Delivery_model.edge_count r)
+
+let test_sentinel_pinned_counts () =
+  let r = Sentinel_model.explore () in
+  check_counts "default" (64860, 372282)
+    (Sentinel_model.state_count r, Sentinel_model.edge_count r)
+
+(* Every obligation of every model holds, so only a deliberately false
+   predicate reaches the shared reports' violation path. Each step is
+   rendered as its state id, so the counterexample can be replayed. *)
+let test_shared_reports_violation_path () =
+  let r = Lazy.force explored_small in
+  let id q = Hashtbl.find r.Explore.index (Model.canon q) in
+  let render _move q = string_of_int (id q) in
+  let check_report ~checked (rep : Invariants.report) =
+    Alcotest.(check bool) (rep.name ^ " violated") false rep.holds;
+    Alcotest.(check int) (rep.name ^ " checked") checked rep.checked;
+    let n = List.length rep.violations in
+    Alcotest.(check bool) (rep.name ^ " 1..3 counterexamples") true
+      (n >= 1 && n <= 3);
+    List.iter
+      (fun path ->
+        let steps =
+          List.map
+            (fun s -> r.Explore.states.(int_of_string (String.trim s)))
+            (String.split_on_char ';' path)
+        in
+        ignore
+          (List.fold_left
+             (fun prev q ->
+               Alcotest.(check bool) "step is a real transition" true
+                 (List.exists
+                    (fun (_, q') -> Model.canon q' = Model.canon q)
+                    (Model.successors small_config prev));
+               q)
+             Model.initial steps))
+      rep.violations
+  in
+  check_report ~checked:(Explore.state_count r)
+    (Explore.state_report r ~name:"never connected" ~render (fun q ->
+         match q.Model.usr with Model.U_connected _ -> false | _ -> true));
+  check_report ~checked:(Explore.edge_count r)
+    (Explore.edge_report r ~name:"usr never changes" ~render (fun q _ q' ->
+         q.Model.usr = q'.Model.usr))
+
 let suite =
   [
     ( "symbolic-algebra (§4)",
@@ -535,5 +601,15 @@ let suite =
           test_recovery_obligations_hold;
         Alcotest.test_case "not vacuous" `Quick test_recovery_not_vacuous;
         Alcotest.test_case "larger bounds" `Slow test_recovery_larger_bounds;
+        Alcotest.test_case "pinned counts" `Quick test_recovery_pinned_counts;
+      ] );
+    ( "symbolic-models",
+      [
+        Alcotest.test_case "delivery pinned counts" `Quick
+          test_delivery_pinned_counts;
+        Alcotest.test_case "sentinel pinned counts" `Quick
+          test_sentinel_pinned_counts;
+        Alcotest.test_case "shared reports violation path" `Quick
+          test_shared_reports_violation_path;
       ] );
   ]
