@@ -48,6 +48,33 @@ let analz s =
   done;
   !current
 
+(* The worklist form of Analz for one new field: [known] is already
+   closed, so only what is new gets split or opened. Learning a key
+   re-opens the encryptions under it that [known] already holds; an
+   encryption added later is opened on arrival. Returns [known]
+   itself when [f] is already in it. *)
+let analz_add known f =
+  let rec go known = function
+    | [] -> known
+    | f :: rest when Set.mem f known -> go known rest
+    | f :: rest -> (
+        let known = Set.add f known in
+        match f with
+        | FCat fs -> go known (List.rev_append fs rest)
+        | FCrypt (k, body) ->
+            go known (if Set.mem (FKey k) known then body :: rest else rest)
+        | FKey k ->
+            go known
+              (Set.fold
+                 (fun g acc ->
+                   match g with
+                   | FCrypt (k', body) when compare_key k' k = 0 -> body :: acc
+                   | _ -> acc)
+                 known rest)
+        | FAgent _ | FNonce _ | FData _ -> go known rest)
+  in
+  go known [ f ]
+
 let rec in_synth s f =
   Set.mem f s
   ||

@@ -78,7 +78,10 @@ let initial =
     rejected = false;
   }
 
-let canon q = Marshal.to_string q []
+(* Plain data (no sets, no closures), so structural hash and
+   equality are exact; the limits reach every field. *)
+let hash q = Hashtbl.hash_param 64 256 q
+let equal (a : state) b = a = b
 
 let record_frame q f =
   if List.mem f q.wire then q
@@ -202,7 +205,7 @@ let successors bounds q =
   List.iter
     (fun f ->
       match recv q f with
-      | Some q' when canon q' <> canon q -> add (M_deliver f) q'
+      | Some q' when not (equal q' q) -> add (M_deliver f) q'
       | Some _ | None -> ())
     q.wire;
 
@@ -215,7 +218,8 @@ module E = Explore.Make (struct
   let default_config = default_bounds
   let initial = initial
   let successors = successors
-  let canon = canon
+  let hash = hash
+  let equal = equal
 end)
 
 type result = E.result

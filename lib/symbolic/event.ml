@@ -60,6 +60,12 @@ module Set = Set.Make (struct
   let compare = compare
 end)
 
+(* Over the elements in their sorted order, so equal sets hash alike
+   whatever their tree shape. The limits reach every field of the
+   §3.2 message formats. *)
+let hash_set s =
+  Set.fold (fun e h -> (h * 65599) + Hashtbl.hash_param 20 100 e) s 0
+
 let contents s =
   Set.fold (fun e acc -> Field.Set.add (content e) acc) s Field.Set.empty
 

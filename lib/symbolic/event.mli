@@ -45,6 +45,9 @@ val content : t -> Field.t
 
 module Set : Stdlib.Set.S with type elt = t
 
+val hash_set : Set.t -> int
+(** A hash of a trace consistent with [Set.equal]. *)
+
 val contents : Set.t -> Field.Set.t
 (** All contents of a trace — the paper's [trace(q)] underlined. *)
 

@@ -51,7 +51,8 @@ module type MODEL = sig
   val default_config : config
   val initial : state
   val successors : config -> state -> (move * state) list
-  val canon : state -> string
+  val hash : state -> int
+  val equal : state -> state -> bool
 end
 
 module Make (M : MODEL) = struct
@@ -59,22 +60,27 @@ module Make (M : MODEL) = struct
   type move = M.move
   type config = M.config
 
+  module Index = Hashtbl.Make (struct
+    type t = M.state
+
+    let equal = M.equal
+    let hash = M.hash
+  end)
+
   type result = {
     states : state array;
-    index : (string, int) Hashtbl.t;
+    index : int Index.t;
     edges : (int * move * int) array;
     parents : (int * move) option array;
     truncated : bool;
     frontier_dropped : int;
   }
 
-  let expand_one config q =
-    List.map (fun (move, q') -> (move, q', M.canon q')) (M.successors config q)
-
-  (* Parallel frontier expansion: compute successors (and their
-     canonical keys — Marshal is the expensive part) for every frontier
-     entry, into an index-aligned array so the caller sees them in
-     frontier order no matter how the work was scheduled.
+  (* Parallel frontier expansion: compute the successors of every
+     frontier entry into an index-aligned array, so the caller sees
+     them in frontier order no matter how the work was scheduled.
+     Interning (hashing and comparing states) stays in the sequential
+     merge.
 
      The helper domains are spawned once per exploration and parked on
      a condition variable between BFS levels — spawning per level costs
@@ -88,7 +94,7 @@ module Make (M : MODEL) = struct
   module Pool = struct
     type round = {
       frontier : (int * state) array;
-      out : (move * state * string) list array;
+      out : (move * state) list array;
       next : int Atomic.t;
       completed : int Atomic.t;
     }
@@ -109,7 +115,7 @@ module Make (M : MODEL) = struct
         let i = Atomic.fetch_and_add r.next 1 in
         if i < n then begin
           let _, q = r.frontier.(i) in
-          r.out.(i) <- expand_one config q;
+          r.out.(i) <- M.successors config q;
           Atomic.incr r.completed;
           go ()
         end
@@ -173,10 +179,10 @@ module Make (M : MODEL) = struct
   let expand ~config ~pool frontier =
     match pool with
     | Some pool -> Pool.run pool frontier
-    | None -> Array.map (fun (_, q) -> expand_one config q) frontier
+    | None -> Array.map (fun (_, q) -> M.successors config q) frontier
 
   (* The single BFS core behind [run] and [run_stream]. When [retain] is
-     false only the intern table (canon -> id) is kept — the states,
+     false only the intern table (state -> id) is kept — the states,
      parents and edges are streamed through the callbacks and dropped.
 
      Truncation accounting: when the [max_states] cap is hit, the edge
@@ -187,14 +193,14 @@ module Make (M : MODEL) = struct
      once at the end. Edges between two stored states are always
      recorded, including after the cap. *)
   let bfs ~config ~max_states ~pool ~retain ~on_state ~on_edge =
-    let index = Hashtbl.create 4096 in
+    let index = Index.create 4096 in
     let states = Vec.create () in
     let parents = Vec.create () in
     let edges = Vec.create () in
     let edge_cnt = ref 0 in
     let dropped = ref 0 in
     let init = M.initial in
-    Hashtbl.add index (M.canon init) 0;
+    Index.add index init 0;
     if retain then begin
       Vec.push states init;
       Vec.push parents None
@@ -212,18 +218,18 @@ module Make (M : MODEL) = struct
              linear scan beats hashing the moves. *)
           let seen = ref [] in
           List.iter
-            (fun (move, q', key') ->
+            (fun (move, q') ->
               let dst_id =
-                match Hashtbl.find_opt index key' with
+                match Index.find_opt index q' with
                 | Some id -> Some id
                 | None ->
-                    if Hashtbl.length index >= max_states then begin
+                    if Index.length index >= max_states then begin
                       incr dropped;
                       None
                     end
                     else begin
-                      let id = Hashtbl.length index in
-                      Hashtbl.add index key' id;
+                      let id = Index.length index in
+                      Index.add index q' id;
                       if retain then begin
                         Vec.push states q';
                         Vec.push parents (Some (src_id, move))
@@ -287,7 +293,7 @@ module Make (M : MODEL) = struct
           bfs ~config ~max_states ~pool ~retain:false ~on_state ~on_edge)
     in
     {
-      stream_states = Hashtbl.length index;
+      stream_states = Index.length index;
       stream_edges = edge_cnt;
       stream_truncated = dropped > 0;
       stream_dropped = dropped;
@@ -313,7 +319,7 @@ module Make (M : MODEL) = struct
 
   let path_to r q =
     Option.fold ~none:[] ~some:(path_of_id r)
-      (Hashtbl.find_opt r.index (M.canon q))
+      (Index.find_opt r.index q)
 
   let max_counterexamples = 3
 

@@ -4,18 +4,19 @@
     and {!Sentinel_model}.
 
     Level-synchronized breadth-first search from the model's initial
-    state, deduplicating states by their canonical serialization.
+    state, deduplicating states by the model's [hash] and [equal].
     Within the bounds of the configuration the exploration is
     exhaustive: every reachable state and every transition is visited,
     so checking an invariant over the states and an edge obligation
     over the edges discharges the corresponding proof obligation for
     the bounded instance.
 
-    Canonical keys are interned: each state gets a dense integer id in
-    discovery order, states live in an array indexed by id, and edges
-    are stored as deduplicated [(src id, move, dst id)] triples — one
-    canonical string per state instead of the seed engine's
-    string-keyed tables and cons-list of string triples.
+    States are interned: an [Index] hash table over the states
+    themselves gives each a dense integer id in discovery order, states
+    live in an array indexed by id, and edges are stored as
+    deduplicated [(src id, move, dst id)] triples. No state is
+    serialized; the seed engine ({!Baseline}) keyed string tables by
+    [Model.canon] and kept a cons-list of string triples.
 
     {2 Parallelism and determinism}
 
@@ -50,7 +51,8 @@ type report = {
 }
 
 (** A model: states, moves, and the bounds ([config]) of an instance;
-    states are deduplicated by their [canon] key. *)
+    states are deduplicated by [equal], bucketed by [hash]. [hash]
+    must agree with [equal]. *)
 module type MODEL = sig
   type state
   type move
@@ -59,7 +61,8 @@ module type MODEL = sig
   val default_config : config
   val initial : state
   val successors : config -> state -> (move * state) list
-  val canon : state -> string
+  val hash : state -> int
+  val equal : state -> state -> bool
 end
 
 module Make (M : MODEL) : sig
@@ -67,9 +70,12 @@ module Make (M : MODEL) : sig
   type move = M.move
   type config = M.config
 
+  module Index : Hashtbl.S with type key = state
+  (** The intern table: [M.hash]/[M.equal] over the states. *)
+
   type result = {
     states : state array;  (** id -> state, in discovery order *)
-    index : (string, int) Hashtbl.t;  (** interned canon -> id *)
+    index : int Index.t;  (** interned state -> id *)
     edges : (int * move * int) array;
         (** deduplicated [(src, move, dst)] id triples; both endpoints
             are always stored states *)
@@ -97,8 +103,8 @@ module Make (M : MODEL) : sig
     stream_stats
   (** Memory-compact exploration: same search as {!run}, but states,
       parents and edges are handed to the callbacks and dropped
-      instead of retained — only the canonical-key intern table is
-      kept for deduplication. [on_state] fires once per stored state
+      instead of retained — only the intern table, which holds each
+      state once as its own key, is kept for deduplication. [on_state] fires once per stored state
       (including the initial state), [on_edge] once per deduplicated
       edge, in the same order {!iter_states} / {!iter_edges} would
       visit them. Counterexample reconstruction ({!path_to}) needs a

@@ -52,10 +52,13 @@ let initial =
     next_nonce = 0;
   }
 
-let canon q =
-  Marshal.to_string
-    (q.mem, q.lead, q.lead_epoch, Event.Set.elements q.trace, q.next_nonce)
-    []
+let hash q =
+  Hashtbl.hash (q.mem, q.lead, q.lead_epoch, q.next_nonce, Event.hash_set q.trace)
+
+let equal a b =
+  a.mem = b.mem && a.lead = b.lead && a.lead_epoch = b.lead_epoch
+  && a.next_nonce = b.next_nonce
+  && (a.trace == b.trace || Event.Set.equal a.trace b.trace)
 
 type move =
   | A_join
@@ -280,7 +283,8 @@ module E = Explore.Make (struct
   let default_config = default_bounds
   let initial = initial
   let successors = successors
-  let canon = canon
+  let hash = hash
+  let equal = equal
 end)
 
 type result = E.result

@@ -49,6 +49,7 @@ type state = {
   next_data : int;
   i_nonces : int;
   i_keys : int;
+  know : Field.Set.t;
 }
 
 type move =
@@ -87,6 +88,9 @@ let pp_leader_state fmt = function
   | L_connected (n, k) -> Format.fprintf fmt "Connected(N%d,Ka%d)" n k
   | L_waiting_for_ack (n, k) -> Format.fprintf fmt "WaitingForAck(N%d,Ka%d)" n k
 
+(* What the intruder knows before any message: the agent names. *)
+let know_base = Field.Set.of_list [ FAgent A; FAgent L; FAgent Intruder ]
+
 let initial =
   {
     usr = U_not_connected;
@@ -101,6 +105,7 @@ let initial =
     next_data = 0;
     i_nonces = 0;
     i_keys = 0;
+    know = know_base;
   }
 
 let canon q =
@@ -115,24 +120,26 @@ let canon q =
       (q.next_nonce, q.next_key, q.next_data, q.i_nonces, q.i_keys) )
     []
 
-let intruder_initial ?(config = default_config) q =
-  let base =
-    if List.mem Leak_pa config.mutations then
-      [ FAgent A; FAgent L; FAgent Intruder; FKey Pa ]
-    else [ FAgent A; FAgent L; FAgent Intruder ]
-  in
-  let atoms = ref (Field.Set.of_list base) in
-  for i = 0 to q.i_nonces - 1 do
-    atoms := Field.Set.add (FNonce (intruder_atom_base + i)) !atoms
-  done;
-  for i = 0 to q.i_keys - 1 do
-    atoms := Field.Set.add (FKey (Ka (intruder_atom_base + i))) !atoms
-  done;
-  !atoms
+(* Hash and equality for interning: every field but [know], which is
+   a function of the others. Traces are compared as sets. *)
+let hash q =
+  List.fold_left
+    (fun h x -> (h * 65599) + x)
+    (Event.hash_set q.trace)
+    [ Hashtbl.hash_param 20 100 (q.usr, q.lead, q.snd, q.rcv); q.joins;
+      q.accepts; q.next_nonce; q.next_key; q.next_data; q.i_nonces; q.i_keys ]
 
-let intruder_knowledge ?config q =
-  Closure.analz
-    (Field.Set.union (intruder_initial ?config q) (Event.contents q.trace))
+let equal a b =
+  a.usr = b.usr && a.lead = b.lead && a.joins = b.joins
+  && a.accepts = b.accepts && a.next_nonce = b.next_nonce
+  && a.next_key = b.next_key && a.next_data = b.next_data
+  && a.i_nonces = b.i_nonces && a.i_keys = b.i_keys && a.snd = b.snd
+  && a.rcv = b.rcv
+  && (a.trace == b.trace || Event.Set.equal a.trace b.trace)
+
+let intruder_knowledge ?(config = default_config) q =
+  if List.mem Leak_pa config.mutations then Closure.analz_add q.know (FKey Pa)
+  else q.know
 
 let trace_parts q = Closure.parts (Event.contents q.trace)
 
@@ -143,10 +150,19 @@ let in_use q k =
       k = k'
   | L_not_connected -> false
 
-let add_msg q ~label ~sender ~recipient ~content =
-  { q with trace = Event.Set.add (Event.Msg { label; sender; recipient; content }) q.trace }
+(* Every trace append goes through here, so [know] stays
+   Analz(base ∪ fresh atoms ∪ contents) along every transition. *)
+let add_event q ev =
+  {
+    q with
+    trace = Event.Set.add ev q.trace;
+    know = Closure.analz_add q.know (Event.content ev);
+  }
 
-let add_oops q f = { q with trace = Event.Set.add (Event.Oops f) q.trace }
+let add_msg q ~label ~sender ~recipient ~content =
+  add_event q (Event.Msg { label; sender; recipient; content })
+
+let add_oops q f = add_event q (Event.Oops f)
 
 (* --- Message content builders (the §3.2 message formats) --- *)
 
@@ -403,13 +419,18 @@ let successors cfg q =
         Event.Msg { label; sender = Intruder; recipient; content }
       in
       if not (Event.Set.mem ev q.trace) then begin
-        let uses_fresh =
+        let q' = add_event q ev in
+        let q' =
           match fresh_nonce with
-          | Some n -> Field.Set.mem (FNonce n) (Closure.parts_of_field content)
-          | None -> false
+          | Some n when Field.Set.mem (FNonce n) (Closure.parts_of_field content)
+            ->
+              {
+                q' with
+                i_nonces = q'.i_nonces + 1;
+                know = Closure.analz_add q'.know (FNonce n);
+              }
+          | Some _ | None -> q'
         in
-        let q' = { q with trace = Event.Set.add ev q.trace } in
-        let q' = if uses_fresh then { q' with i_nonces = q'.i_nonces + 1 } else q' in
         add (E_inject label) q'
       end
     end

@@ -90,6 +90,13 @@ type state = {
   next_data : int;
   i_nonces : int;  (** Intruder fresh nonces consumed. *)
   i_keys : int;
+  know : Field.Set.t;
+      (** Derived: [Analz] of the intruder's base atoms (the agent
+          names), its allocated fresh atoms and the trace contents —
+          [Know(E,q)] without any mutation. The trace only grows, so
+          every trace append extends it with {!Closure.analz_add}
+          instead of recomputing the closure. Ignored by {!canon},
+          {!hash} and {!equal}. *)
 }
 
 type move =
@@ -111,13 +118,24 @@ val pp_leader_state : Format.formatter -> leader_state -> unit
 val initial : state
 
 val canon : state -> string
-(** Canonical serialization for state hashing. *)
+(** A canonical serialization of every field but [know] (Marshal of
+    the fields, the trace as its sorted element list). The exploration
+    engine no longer uses it; {!Explore.Baseline}, the tests and the
+    benchmark's [symbolic.canon_us] row do. *)
+
+val hash : state -> int
+(** Hash of every field but [know], consistent with {!equal}. *)
+
+val equal : state -> state -> bool
+(** State equality for interning: every field but [know], traces
+    compared as sets ([Event.Set.equal]). *)
 
 val intruder_knowledge : ?config:config -> state -> Field.Set.t
 (** [Know(E, q)]: Analz closure of the intruder's initial knowledge,
-    its allocated fresh atoms, and the trace contents. Pass the
-    configuration when mutations (e.g. [Leak_pa]) extend the initial
-    knowledge. *)
+    its allocated fresh atoms, and the trace contents. O(1): it is
+    [q.know], except under [Leak_pa], where it is
+    [Closure.analz_add q.know (FKey Pa)]. Pass the configuration when
+    mutations extend the initial knowledge. *)
 
 val trace_parts : state -> Field.Set.t
 (** [Parts(trace(q))] (with underline): parts of all contents. *)

@@ -93,7 +93,10 @@ let initial =
     replayed_rejected = false;
   }
 
-let canon q = Marshal.to_string q []
+(* Plain data (no sets, no closures), so structural hash and
+   equality are exact; the limits reach every field. *)
+let hash q = Hashtbl.hash_param 64 256 q
+let equal (a : state) b = a = b
 
 let record_frame q f =
   if List.mem f q.wire then q
@@ -350,7 +353,7 @@ let successors bounds q =
   let try_deliver mk recv f target =
     if deliverable_at target then
       match recv q target f with
-      | Some q' when canon q' <> canon q -> add (mk (f, target)) q'
+      | Some q' when not (equal q' q) -> add (mk (f, target)) q'
       | Some _ | None -> ()
   in
   List.iter
@@ -392,7 +395,8 @@ module E = Explore.Make (struct
   let default_config = default_bounds
   let initial = initial
   let successors = successors
-  let canon = canon
+  let hash = hash
+  let equal = equal
 end)
 
 type result = E.result

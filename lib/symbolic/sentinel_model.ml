@@ -100,7 +100,10 @@ let initial =
     imported = false;
   }
 
-let canon q = Marshal.to_string q []
+(* Plain data (no sets, no closures), so structural hash and
+   equality are exact; the limits reach every field. *)
+let hash q = Hashtbl.hash_param 64 256 q
+let equal (a : state) b = a = b
 
 type move =
   | M_slip  (* V's own socket: one unit of honest on-path noise *)
@@ -164,7 +167,7 @@ let challenge_due b q =
 
 let successors b q =
   let moves = ref [] in
-  let add m s = if canon s <> canon q then moves := (m, s) :: !moves in
+  let add m s = if not (equal s q) then moves := (m, s) :: !moves in
 
   (* V's honest noise: bounded, single-class, on-path. *)
   if q.v_c0 < b.slip_cap then
@@ -220,7 +223,8 @@ module E = Explore.Make (struct
   let default_config = default_bounds
   let initial = initial
   let successors = successors
-  let canon = canon
+  let hash = hash
+  let equal = equal
 end)
 
 type result = E.result

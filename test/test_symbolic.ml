@@ -105,6 +105,50 @@ let test_coideal_analz_closure_sample () =
         true (Closure.in_coideal s f))
     (Closure.analz safe)
 
+(* analz_add on a closed set is the closure of the set plus the new
+   field, for any fields: keys that open earlier crypts, crypts whose
+   key arrives later, nested concatenations. *)
+let field_gen =
+  let open QCheck.Gen in
+  let key = oneof [ return Pa; map (fun i -> Ka i) (int_range 0 2) ] in
+  let atom =
+    oneof
+      [
+        map (fun a -> FAgent a) (oneofl [ A; L; Intruder ]);
+        map (fun n -> FNonce n) (int_range 0 3);
+        map (fun k -> FKey k) key;
+        map (fun d -> FData d) (int_range 0 2);
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then atom
+         else
+           frequency
+             [
+               (2, atom);
+               (1, map (fun fs -> FCat fs) (list_size (int_range 2 3) (self (n - 1))));
+               (2, map2 (fun k b -> FCrypt (k, b)) key (self (n - 1)));
+             ])
+
+let qcheck_tests =
+  [
+    QCheck.Test.make ~name:"analz_add = analz of the extended set" ~count:500
+      ~long_factor:20
+      QCheck.(
+        make
+          ~print:(fun (fs, f) ->
+            Format.asprintf "%a + %a"
+              (Format.pp_print_list Field.pp)
+              fs Field.pp f)
+          Gen.(pair (list_size (int_range 0 6) field_gen) field_gen))
+      (fun (fs, f) ->
+        let s = f_set fs in
+        Field.Set.equal
+          (Closure.analz_add (Closure.analz s) f)
+          (Closure.analz (Field.Set.add f s)));
+  ]
+
 (* --- Exploration --- *)
 
 let small_config =
@@ -134,7 +178,7 @@ let test_full_session_reachable () =
   let found =
     Explore.find_state r (fun q -> List.length q.Model.rcv >= 2)
   in
-  Alcotest.(check bool) "busy session reached" true (found <> None);
+  Alcotest.(check bool) "busy session reached" true (Option.is_some found);
   (* A post-Oops rejoin exists: some session key oopsed while A is
      connected under another. *)
   let rejoined =
@@ -148,7 +192,7 @@ let test_full_session_reachable () =
               q.Model.trace
         | _ -> false)
   in
-  Alcotest.(check bool) "post-oops session reached" true (rejoined <> None)
+  Alcotest.(check bool) "post-oops session reached" true (Option.is_some rejoined)
 
 let test_truncation_consistent () =
   (* Regression: with a state cap, the edge count must agree with what
@@ -166,7 +210,7 @@ let test_truncation_consistent () =
   (* Every edge endpoint is a stored state. *)
   let n = Explore.state_count r in
   Explore.iter_edges r (fun q _ q' ->
-      let id s = Hashtbl.find r.Explore.index (Model.canon s) in
+      let id s = Explore.Index.find r.Explore.index s in
       Alcotest.(check bool) "endpoints stored" true (id q < n && id q' < n))
 
 let test_matches_baseline () =
@@ -359,8 +403,7 @@ let test_path_to_deep_state () =
          initial state. *)
       (match List.rev path with
       | (_, last) :: _ ->
-          Alcotest.(check string) "ends at target" (Model.canon q)
-            (Model.canon last)
+          Alcotest.(check bool) "ends at target" true (Model.equal q last)
       | [] -> Alcotest.fail "empty path");
       (* Each step is a genuine transition of the model. *)
       let rec replay prev = function
@@ -369,7 +412,7 @@ let test_path_to_deep_state () =
             let succ = Model.successors small_config prev in
             let found =
               List.exists
-                (fun (m, s) -> m = move && Model.canon s = Model.canon next)
+                (fun (m, s) -> m = move && Model.equal s next)
                 succ
             in
             Alcotest.(check bool) "step is a real transition" true found;
@@ -504,7 +547,7 @@ let test_sentinel_pinned_counts () =
    rendered as its state id, so the counterexample can be replayed. *)
 let test_shared_reports_violation_path () =
   let r = Lazy.force explored_small in
-  let id q = Hashtbl.find r.Explore.index (Model.canon q) in
+  let id q = Explore.Index.find r.Explore.index q in
   let render _move q = string_of_int (id q) in
   let check_report ~checked (rep : Invariants.report) =
     Alcotest.(check bool) (rep.name ^ " violated") false rep.holds;
@@ -524,7 +567,7 @@ let test_shared_reports_violation_path () =
              (fun prev q ->
                Alcotest.(check bool) "step is a real transition" true
                  (List.exists
-                    (fun (_, q') -> Model.canon q' = Model.canon q)
+                    (fun (_, q') -> Model.equal q' q)
                     (Model.successors small_config prev));
                q)
              Model.initial steps))
@@ -536,6 +579,91 @@ let test_shared_reports_violation_path () =
   check_report ~checked:(Explore.edge_count r)
     (Explore.edge_report r ~name:"usr never changes" ~render (fun q _ q' ->
          q.Model.usr = q'.Model.usr))
+
+(* --- Incremental knowledge and interning --- *)
+
+(* Know(E, q) from scratch: Analz of the base atoms (plus Pa under
+   Leak_pa), the intruder's fresh atoms and every trace content. The
+   reference the incrementally kept [know] must equal. *)
+let knowledge_from_scratch config q =
+  let base =
+    [ FAgent A; FAgent L; FAgent Intruder ]
+    @ if List.mem Model.Leak_pa config.Model.mutations then [ FKey Pa ] else []
+  in
+  let fresh =
+    List.init q.Model.i_nonces (fun i -> FNonce (Model.intruder_atom_base + i))
+    @ List.init q.Model.i_keys (fun i -> FKey (Ka (Model.intruder_atom_base + i)))
+  in
+  Closure.analz
+    (Field.Set.union (f_set (base @ fresh)) (Event.contents q.Model.trace))
+
+let two_join_config =
+  { Model.default_config with max_joins = 2; max_nonces = 8; max_admin = 2 }
+
+let explored_two_join = lazy (Explore.run ~config:two_join_config ())
+
+(* Exhaustive, except under Leak_pa and No_close_auth: they blow the
+   space up, and their first 5000 states already reach every move and
+   mutated path. *)
+let test_knowledge_oracle () =
+  List.iter
+    (fun (mutation, mutations, max_states) ->
+      List.iter
+        (fun (name, base) ->
+          let config = { base with Model.mutations } in
+          let r = Explore.run ~config ~max_states () in
+          let mismatches = ref 0 in
+          Explore.iter_states r (fun q ->
+              if
+                not
+                  (Field.Set.equal
+                     (Model.intruder_knowledge ~config q)
+                     (knowledge_from_scratch config q))
+              then incr mismatches);
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s: %d states, know = from scratch" name
+               mutation (Explore.state_count r))
+            0 !mismatches)
+        [ ("small", small_config); ("2-join", two_join_config) ])
+    [
+      ("no mutation", [], max_int);
+      ("Leak_pa", [ Model.Leak_pa ], 5_000);
+      ("No_admin_freshness", [ Model.No_admin_freshness ], max_int);
+      ("No_close_auth", [ Model.No_close_auth ], 5_000);
+    ]
+
+let test_model_pinned_counts () =
+  let counts r = (Explore.state_count r, Explore.edge_count r) in
+  check_counts "2 joins, 8 nonces, 2 admin" (6431, 10130)
+    (counts (Lazy.force explored_two_join));
+  check_counts "default (10 nonces)" (20223, 32754)
+    (counts (Lazy.force explored))
+
+let test_interning_no_coarser_than_canon () =
+  (* Two stored states with one Marshal canon would mean [equal] kept
+     apart what the old string keys merged. Distinct canons, with the
+     counts pinned at the string-keyed engine's values, mean the two
+     partitions agree on these instances. *)
+  List.iter
+    (fun r ->
+      let canons = Hashtbl.create 32768 in
+      Explore.iter_states r (fun q -> Hashtbl.replace canons (Model.canon q) ());
+      Alcotest.(check int) "canons pairwise distinct" (Explore.state_count r)
+        (Hashtbl.length canons))
+    [ Lazy.force explored_two_join; Lazy.force explored ]
+
+let test_interning_ignores_know () =
+  let r = Lazy.force explored_two_join in
+  let lost = ref 0 in
+  Array.iteri
+    (fun id q ->
+      List.iter
+        (fun know ->
+          if Explore.Index.find_opt r.Explore.index { q with Model.know } <> Some id
+          then incr lost)
+        [ knowledge_from_scratch two_join_config q; Field.Set.empty ])
+    r.Explore.states;
+  Alcotest.(check int) "copies with another know found at the same id" 0 !lost
 
 let suite =
   [
@@ -550,7 +678,8 @@ let suite =
         Alcotest.test_case "ideal/coideal" `Quick test_ideal;
         Alcotest.test_case "coideal analz-closed (sample)" `Quick
           test_coideal_analz_closure_sample;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
     ( "symbolic-exploration (§4)",
       [
         Alcotest.test_case "complete within bounds" `Quick
@@ -567,6 +696,13 @@ let suite =
         Alcotest.test_case "deep scenarios reachable" `Quick
           test_full_session_reachable;
         Alcotest.test_case "intruder live" `Quick test_intruder_injections_happen;
+        Alcotest.test_case "knowledge = from-scratch Analz" `Quick
+          test_knowledge_oracle;
+        Alcotest.test_case "pinned counts" `Quick test_model_pinned_counts;
+        Alcotest.test_case "interning no coarser than canon" `Quick
+          test_interning_no_coarser_than_canon;
+        Alcotest.test_case "interning ignores know" `Quick
+          test_interning_ignores_know;
       ] );
     ( "symbolic-verification (§5)",
       [
