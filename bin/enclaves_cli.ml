@@ -361,7 +361,7 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
   let one b seed =
     let d =
       Scenario.chaos_run
-        ?retry:(if no_retry then None else Some D.default_retry)
+        ~retry:(not no_retry)
         ?recovery:(if crashing then Some D.default_recovery else None)
         ?storage_faults:
           (if faulty_disk then
@@ -820,7 +820,7 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
   let one b seed =
     let rng = Prng.Splitmix.create seed in
     let d =
-      D.create ~seed ~retry:D.default_retry ~recovery ~delivery:policy
+      D.create ~seed ~retry:true ~recovery ~delivery:policy
         ~leader:"leader" ~directory ()
     in
     let plan =
@@ -1222,7 +1222,7 @@ let run_calibrate seeds clean_seeds quick out json =
   in
   let clean_run cfg seed =
     let d =
-      Scenario.chaos_run ~retry:D.default_retry ~preauth:D.default_preauth
+      Scenario.chaos_run ~retry:true ~preauth:true
         ~intrusion:cfg ~plan ~directory:honest ~until:(Netsim.Vtime.of_s 8)
         seed
     in
@@ -1368,7 +1368,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
         ?policy:
           (if no_degrade then Some { L.default_policy with L.degrade = false }
            else None)
-        ~retry:D.default_retry ~recovery:D.default_recovery
+        ~retry:true ~recovery:D.default_recovery
         ~storage_faults:
           {
             Store.Fault.none with
@@ -1385,7 +1385,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
             Enclaves.Delivery.per_member_bytes = Some 300;
             global_bytes = Some global_budget;
           }
-        ~preauth:D.default_preauth ~intrusion:S.default_config
+        ~preauth:true ~intrusion:S.default_config
         ~leader:"leader"
         ~directory:(honest @ [ Scenario.insider ])
         ()
@@ -1428,19 +1428,21 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
        from the victim drains its queue and clears the mark (that is
        the reconnect contract), but this victim is still dark — the
        operator marks it again. *)
+    let disk = Option.get (D.fault d) (* created with storage faults *) in
     seg (fun () ->
         D.mark_offline d offline_victim;
-        D.trigger_stall d;
+        Store.Fault.trigger_stall disk;
         Scenario.run_until_ms d 4300;
-        D.heal_stall d;
+        Store.Fault.heal_stall disk;
         Scenario.run_until_ms d 4500);
     (* Disk full: clamp the byte budget to a sliver above current
        usage; the journal and queue mirrors exhaust it within a few
        rekeys. Space returns at 6.5s. *)
     seg (fun () ->
-        D.set_space_budget d (Some (D.disk_bytes_used d + 150));
+        Store.Fault.set_space_budget disk
+          (Some (Store.Fault.bytes_used disk + 150));
         Scenario.run_until_ms d 6500;
-        D.set_space_budget d None;
+        Store.Fault.set_space_budget disk None;
         Scenario.run_until d 8);
     (* Heal phase: the dark member returns, the late joiners arrive,
        and the run settles to the end-state check. *)
@@ -1456,7 +1458,9 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
       (not wedged) && Scenario.honest_view_reconverged d honest
     in
     let healthy_end =
-      (not wedged) && D.leader_mode d = L.Healthy && D.durability_armed d
+      (not wedged)
+      && L.mode (D.leader d) = L.Healthy
+      && L.durability_armed (D.leader d)
     in
     let markers_durable, bytes_bounded =
       match D.delivery d with

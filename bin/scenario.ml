@@ -350,7 +350,7 @@ let secret_unreadable d actor secret =
 let attack_run ?intrusion ~honest ~n_late arm seed =
   let early, late = split_late honest n_late in
   let d =
-    D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
+    D.create ~seed ~retry:true ~preauth:true
       ?intrusion ~leader:"leader" ~directory:(honest @ [ insider ]) ()
   in
   let actor = prelude d ~early arm in

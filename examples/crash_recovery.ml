@@ -57,7 +57,7 @@ let converged_at d =
 
 let one ?(recovery = D.default_recovery) ?storage_faults ~warm ~loss seed =
   let d =
-    D.create ~seed ~retry:D.default_retry ~recovery ?storage_faults
+    D.create ~seed ~retry:true ~recovery ?storage_faults
       ~leader:"leader" ~directory ()
   in
   Netsim.Network.set_faultplan (D.net d)

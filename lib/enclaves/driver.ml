@@ -1,30 +1,32 @@
 module F = Wire.Frame
 
-let send_frames net ~src frames =
-  List.iter
-    (fun (frame : F.t) ->
-      Netsim.Network.send net ~src ~dst:frame.F.recipient (F.encode frame))
-    frames
-
 module Improved = struct
-  type retry_config = {
-    handshake_initial : Netsim.Vtime.t;
-    handshake_max : Netsim.Vtime.t;
-    backoff : float;
-    jitter : float;
-    scan_period : Netsim.Vtime.t;
-    half_open_gc : Netsim.Vtime.t;
-  }
+  (* Retry layer: the member's handshake retransmission starts at 250 ms
+     and backs off ×2 up to 4 s, each delay jittered by ±20% from a
+     PRNG split off the simulation seed (so retry schedules replay
+     deterministically); the leader scans for outstanding frames every
+     200 ms and garbage-collects handshakes half-open for 3 s. *)
+  let handshake_initial = Netsim.Vtime.of_ms 250
+  let handshake_max = Netsim.Vtime.of_s 4
+  let backoff = 2.0
+  let jitter = 0.2
+  let scan_period = Netsim.Vtime.of_ms 200
+  let half_open_gc = Netsim.Vtime.of_s 3
 
-  let default_retry =
-    {
-      handshake_initial = Netsim.Vtime.of_ms 250;
-      handshake_max = Netsim.Vtime.of_s 4;
-      backoff = 2.0;
-      jitter = 0.2;
-      scan_period = Netsim.Vtime.of_ms 200;
-      half_open_gc = Netsim.Vtime.of_s 3;
-    }
+  (* Pre-auth flood control: the unauthenticated handshake path is the
+     one surface a peer can hit without any key material, so it gets
+     its own bounded service queue. [AuthInitReq] frames are not
+     handed to the leader on arrival: they wait in a FIFO of at most
+     [preauth_capacity] frames (tail drop beyond that) and are served
+     [preauth_burst] at a time every [preauth_period] (±25% jitter), so
+     a flood pays in queueing delay and overflow instead of leader work
+     — and cannot phase-lock onto the service clock. With an intrusion
+     sentinel configured, {!Sentinel.admit_preauth} runs at the queue
+     door: throttled, capped and quarantined claimants never occupy a
+     slot. *)
+  let preauth_capacity = 32
+  let preauth_period = Netsim.Vtime.of_ms 50
+  let preauth_burst = 4
 
   type retry_stats = {
     mutable handshake_retransmits : int;
@@ -42,26 +44,6 @@ module Improved = struct
       half_open_gcs = 0;
       session_resets = 0;
     }
-
-  (* Pre-auth flood control: the unauthenticated handshake path is the
-     one surface a peer can hit without any key material, so it gets
-     its own bounded service queue. [AuthInitReq] frames are not
-     handed to the leader on arrival: they wait in a FIFO of at most
-     [capacity] frames (tail drop beyond that) and are served in
-     batches of [burst] every jittered [period], so a flood pays in
-     queueing delay and overflow instead of leader work — and cannot
-     phase-lock onto the service clock. With an intrusion sentinel
-     configured, {!Sentinel.admit_preauth} runs at the queue door:
-     throttled, capped and quarantined claimants never occupy a
-     slot. *)
-  type preauth_config = {
-    capacity : int;  (** Queue bound; arrivals beyond it tail-drop. *)
-    period : Netsim.Vtime.t;  (** Service tick (±25% jitter). *)
-    burst : int;  (** Handshakes served per tick. *)
-  }
-
-  let default_preauth =
-    { capacity = 32; period = Netsim.Vtime.of_ms 50; burst = 4 }
 
   (* Leader-side watch entry for one outstanding frame (identified by
      its nonce): when the nonce survives a whole scan interval the
@@ -102,7 +84,6 @@ module Improved = struct
     mutable cold_reauths : int;
     mutable cold_beacons_sent : int;
     mutable beacon_reauths : int;
-    mutable crash_images : int;
   }
 
   let fresh_recovery_stats () =
@@ -118,61 +99,20 @@ module Improved = struct
       cold_reauths = 0;
       cold_beacons_sent = 0;
       beacon_reauths = 0;
-      crash_images = 0;
     }
 
   type t = {
     sim : Netsim.Sim.t;
     net : Netsim.Network.t;
-    mutable leader : Leader.t;  (* replaced on a leader restart *)
+    mgr : Manager.t;  (* the leader process, across its incarnations *)
     members : (Types.agent, Member.t) Hashtbl.t;
     directory : (Types.agent * string) list;
-    policy : Leader.policy option;
-    retry : retry_config option;
+    retry : bool;
     rstats : retry_stats;
     recovery : recovery_config option;
     recstats : recovery_stats;
-    mutable journal : Journal.t option;  (* write-through to [backend] *)
-    mutable vault : Store.Vault.t option;
-        (* durable epoch vault, on the same backend as the journal *)
-    delivery_policy : Delivery.policy option;
-    delivery_budgets : Delivery.budgets option;
-        (* Byte bounds handed to every delivery incarnation; [None]
-           keeps the queues unbounded (the pre-budget behaviour). *)
-    mutable delivery : Delivery.t option;  (* replaced on a leader restart *)
-    mutable queue_crash_images : (string * string) list option;
-        (* Durable queue-file images captured at the last crash — like
-           [crash_bytes], what a restarted process actually finds. *)
-    mutable acc_delivery : Netsim.Stats.delivery;
-        (* Counters banked from delivery layers of dead leader
-           incarnations. *)
-    disk : Store.Mem.t option;  (* simulated disk under the journal *)
-    fault : Store.Fault.t option;  (* seeded fault layer, if configured *)
-    backend : Store.Backend.t option;  (* fault-wrapped handle to [disk] *)
-    mutable crash_bytes : string option;
-        (* Durable journal image captured at the last crash — what a
-           restarted process actually finds, as opposed to the live
-           buffer (which includes unsynced bytes the crash lost). *)
-    mutable vault_crash_bytes : string option;
-        (* Durable epoch-vault image captured at the same crash. *)
-    mutable acc_eio : int;  (* EIO retries banked from dead journals *)
-    mutable leader_down : bool;
-    (* Recoveries/resyncs performed by previous leader incarnations —
-       those counters die with the crashed instance. *)
-    mutable acc_recoveries : int;
-    mutable acc_resyncs : int;
-    (* Degraded-ladder activity banked from dead leader incarnations
-       (the ladder state itself dies with the instance: a restarted
-       leader re-probes storage and re-degrades if pressure holds). *)
-    mutable acc_degraded : int;
-    mutable acc_rearms : int;
-    mutable acc_shed : int;
     jrng : Prng.Splitmix.t;  (* jitter; split off the root stream *)
-    preauth : preauth_config option;
-    sentinel : Sentinel.t option;
-        (* One sentinel across leader incarnations: suspicion must
-           survive a restart, so the driver owns it and threads it
-           into every rebuilt leader. *)
+    preauth : bool;
     preauth_q : (string * Netsim.Trace.via option) Queue.t;
         (* Encoded [AuthInitReq] frames awaiting pre-auth service,
            with the injection path each arrived over — the path is
@@ -198,39 +138,42 @@ module Improved = struct
            wedge otherwise. *)
   }
 
-  let deliver_to_leader t ?via bytes =
-    let replies = Leader.receive t.leader ?via bytes in
-    send_frames t.net ~src:(Leader.self t.leader) replies
+  let leader t = Manager.leader t.mgr
+  let leader_down t = Manager.down t.mgr
+  let sentinel t = Manager.sentinel t.mgr
+  let dispatch_leader t frames = Manager.dispatch t.mgr frames
+  let send t ~src frames = Manager.send t.net ~src frames
 
-  (* Serve the pre-auth queue: at most [burst] queued handshakes per
-     jittered [period] tick. Demand-driven — a tick is scheduled only
-     while frames wait — so the pump never blocks quiescence. Each
-     tick ends with a containment sweep: a flood that just pushed its
-     author over the quarantine threshold is acted on before the next
-     batch is served. *)
-  let rec schedule_pump t cfg =
+  (* Serve the pre-auth queue: at most [preauth_burst] queued
+     handshakes per jittered [preauth_period] tick. Demand-driven — a
+     tick is scheduled only while frames wait — so the pump never
+     blocks quiescence. Each tick ends with a containment sweep: a
+     flood that just pushed its author over the quarantine threshold
+     is acted on before the next batch is served. *)
+  let rec schedule_pump t =
     if not t.pump_scheduled then begin
       t.pump_scheduled <- true;
-      let period_f = Int64.to_float cfg.period in
+      let period_f = Int64.to_float preauth_period in
       let displace =
         Int64.of_float
           (period_f *. 0.25
           *. ((Prng.Splitmix.next_float t.prng_pump *. 2.0) -. 1.0))
       in
-      let delay = Int64.max 1L (Int64.add cfg.period displace) in
+      let delay = Int64.max 1L (Int64.add preauth_period displace) in
       ignore
         (Netsim.Sim.schedule_handle t.sim ~delay (fun () ->
              t.pump_scheduled <- false;
-             if not t.leader_down then begin
+             if not (leader_down t) then begin
                let served = ref 0 in
-               while !served < cfg.burst && not (Queue.is_empty t.preauth_q) do
+               while
+                 !served < preauth_burst && not (Queue.is_empty t.preauth_q)
+               do
                  incr served;
                  let bytes, via = Queue.pop t.preauth_q in
-                 deliver_to_leader t ?via bytes
+                 Manager.deliver t.mgr ?via bytes
                done;
-               send_frames t.net ~src:(Leader.self t.leader)
-                 (Leader.containment_sweep t.leader);
-               if not (Queue.is_empty t.preauth_q) then schedule_pump t cfg
+               dispatch_leader t (Leader.containment_sweep (leader t));
+               if not (Queue.is_empty t.preauth_q) then schedule_pump t
              end))
     end
 
@@ -238,19 +181,19 @@ module Improved = struct
      everything is admitted (the bounded queue alone is the baseline
      flood behaviour — it fills, and joins starve in FIFO order). *)
   let admit_preauth t ?via (frame : F.t) =
-    match t.sentinel with
+    match sentinel t with
     | None -> true
     | Some sn -> (
         let who = frame.F.sender in
         let known = List.mem_assoc who t.directory in
         let resuming =
-          match Leader.session t.leader who with
+          match Leader.session (leader t) who with
           | Leader.Waiting_for_key_ack _ -> true
           | Leader.Not_connected | Leader.Connected _ | Leader.Waiting_for_ack _
           | Leader.Recovering _ ->
               false
         in
-        let half_open = List.length (Leader.half_open t.leader) in
+        let half_open = List.length (Leader.half_open (leader t)) in
         match
           Sentinel.admit_preauth sn ?via ~peer:who ~known ~resuming ~half_open ()
         with
@@ -263,98 +206,88 @@ module Improved = struct
      absent from the directory are refused outright — an unknown peer
      cannot become a member anyway, and every queued handshake costs
      work the degraded leader should spend recovering — and the
-     pre-auth queue runs at a quarter of its configured bound, so a
-     flood pays in tail drops sooner. Directory members still join:
-     their retransmission watchdog covers any tail drop. *)
-  let effective_capacity t cfg =
-    if Leader.mode t.leader = Leader.Healthy then cfg.capacity
-    else max 1 (cfg.capacity / 4)
+     pre-auth queue runs at a quarter of its bound, so a flood pays in
+     tail drops sooner. Directory members still join: their
+     retransmission watchdog covers any tail drop. *)
+  let effective_capacity t =
+    if Leader.mode (leader t) = Leader.Healthy then preauth_capacity
+    else max 1 (preauth_capacity / 4)
 
   let gate_preauth t ?via bytes frame =
     if
-      Leader.mode t.leader <> Leader.Healthy
+      Leader.mode (leader t) <> Leader.Healthy
       && not (List.mem_assoc frame.F.sender t.directory)
     then t.preauth_dropped <- t.preauth_dropped + 1
     else if admit_preauth t ?via frame then
-      match t.preauth with
-      | None -> deliver_to_leader t ?via bytes
-      | Some cfg ->
-          if Queue.length t.preauth_q >= effective_capacity t cfg then
-            t.preauth_dropped <- t.preauth_dropped + 1
-          else begin
-            Queue.push (bytes, via) t.preauth_q;
-            schedule_pump t cfg
-          end
+      if not t.preauth then Manager.deliver t.mgr ?via bytes
+      else if Queue.length t.preauth_q >= effective_capacity t then
+        t.preauth_dropped <- t.preauth_dropped + 1
+      else begin
+        Queue.push (bytes, via) t.preauth_q;
+        schedule_pump t
+      end
     else
       (* The denial itself scored evidence; contain synchronously so a
          flood is cut on the frame that crossed the threshold. *)
-      send_frames t.net ~src:(Leader.self t.leader)
-        (Leader.containment_sweep t.leader)
+      dispatch_leader t (Leader.containment_sweep (leader t))
 
-  (* The handler reads [t.leader] at delivery time, so re-registering
-     after a restart picks up the replacement automaton. The
-     unauthenticated handshake path additionally passes the pre-auth
-     gate when flood control or a sentinel is configured. *)
+  (* The handler reads the current incarnation at delivery time, so it
+     serves every restarted automaton. The unauthenticated handshake
+     path additionally passes the pre-auth gate when flood control or
+     a sentinel is configured. *)
   let attach_leader t =
-    Netsim.Network.register t.net (Leader.self t.leader) (fun bytes ->
-        if not t.leader_down then begin
-          let via = Netsim.Network.delivering_via t.net in
-          (* Door check for raw wire injections: once the wire
-             pseudo-peer itself is quarantined (a sustained pathless
-             campaign), further [Via_wire] frames are dropped before
-             any protocol or admission processing — the injector is
-             contained without any member being blamed. *)
-          let wire_blocked =
-            match (via, t.sentinel) with
-            | Some Netsim.Trace.Via_wire, Some sn ->
-                Sentinel.level_rank (Sentinel.level sn Sentinel.wire_peer)
-                >= Sentinel.level_rank Sentinel.Quarantined
-            | _ -> false
-          in
-          if wire_blocked then
-            t.injections_blocked <- t.injections_blocked + 1
-          else
-            match (t.preauth, t.sentinel) with
-            | None, None -> deliver_to_leader t ?via bytes
-            | _ -> (
-                match F.decode bytes with
-                | Ok ({ F.label = F.Auth_init_req; _ } as frame) ->
-                    gate_preauth t ?via bytes frame
-                | Ok _ | Error _ -> deliver_to_leader t ?via bytes)
-        end)
+    Manager.attach t.mgr (fun bytes ->
+        let via = Netsim.Network.delivering_via t.net in
+        (* Door check for raw wire injections: once the wire
+           pseudo-peer itself is quarantined (a sustained pathless
+           campaign), further [Via_wire] frames are dropped before any
+           protocol or admission processing — the injector is
+           contained without any member being blamed. *)
+        let wire_blocked =
+          match (via, sentinel t) with
+          | Some Netsim.Trace.Via_wire, Some sn ->
+              Sentinel.level_rank (Sentinel.level sn Sentinel.wire_peer)
+              >= Sentinel.level_rank Sentinel.Quarantined
+          | _ -> false
+        in
+        if wire_blocked then t.injections_blocked <- t.injections_blocked + 1
+        else if (not t.preauth) && Option.is_none (sentinel t) then
+          Manager.deliver t.mgr ?via bytes
+        else
+          match F.decode bytes with
+          | Ok ({ F.label = F.Auth_init_req; _ } as frame) ->
+              gate_preauth t ?via bytes frame
+          | Ok _ | Error _ -> Manager.deliver t.mgr ?via bytes)
 
   let scale time f = Int64.of_float (Int64.to_float time *. f)
 
-  let jittered t cfg delay =
-    if cfg.jitter <= 0.0 then delay
-    else
-      let factor =
-        1.0 -. cfg.jitter
-        +. (Prng.Splitmix.next_float t.jrng *. 2.0 *. cfg.jitter)
-      in
-      scale delay factor
+  let jittered t delay =
+    let factor =
+      1.0 -. jitter +. (Prng.Splitmix.next_float t.jrng *. 2.0 *. jitter)
+    in
+    scale delay factor
 
-  let next_delay cfg delay =
-    let d = scale delay cfg.backoff in
-    if Netsim.Vtime.(cfg.handshake_max < d) then cfg.handshake_max else d
+  let next_delay delay =
+    let d = scale delay backoff in
+    if Netsim.Vtime.(handshake_max < d) then handshake_max else d
 
   (* One periodic leader-side pass: retransmit outstanding AuthKeyDist
      and AdminMsg frames whose nonce has not moved since the previous
      scan, and garbage-collect handshakes half-open past the GC age. *)
-  let leader_scan t cfg () =
-    if t.leader_down then ()
+  let leader_scan t () =
+    if leader_down t then ()
     else begin
     let now = Netsim.Sim.now t.sim in
-    let lname = Leader.self t.leader in
-    let half_open = Leader.half_open t.leader in
-    let awaiting = Leader.awaiting_ack t.leader in
+    let l = leader t in
+    let half_open = Leader.half_open l in
+    let awaiting = Leader.awaiting_ack l in
     let live = half_open @ awaiting in
     Hashtbl.iter
       (fun who _ ->
         if not (List.mem who live) then Hashtbl.remove t.watches who)
       (Hashtbl.copy t.watches);
     let nonce_of who =
-      match Leader.session t.leader who with
+      match Leader.session l who with
       | Leader.Waiting_for_key_ack (nl, _) | Leader.Waiting_for_ack (nl, _) ->
           Some nl
       | Leader.Not_connected | Leader.Connected _ | Leader.Recovering _ ->
@@ -369,35 +302,35 @@ module Improved = struct
           | Some w when Wire.Nonce.equal w.w_nonce nl ->
               if
                 is_half_open
-                && Netsim.Vtime.(cfg.half_open_gc <= Int64.sub now w.first_seen)
+                && Netsim.Vtime.(half_open_gc <= Int64.sub now w.first_seen)
               then begin
-                if Leader.abort_half_open t.leader who then
+                if Leader.abort_half_open l who then
                   t.rstats.half_open_gcs <- t.rstats.half_open_gcs + 1;
                 Hashtbl.remove t.watches who
               end
               else if Netsim.Vtime.(w.interval <= Int64.sub now w.last_rtx)
               then begin
-                send_frames t.net ~src:lname (Leader.retransmit t.leader who);
+                dispatch_leader t (Leader.retransmit l who);
                 if is_half_open then
                   t.rstats.keydist_retransmits <-
                     t.rstats.keydist_retransmits + 1
                 else t.rstats.admin_retransmits <- t.rstats.admin_retransmits + 1;
                 w.last_rtx <- now;
-                w.interval <- next_delay cfg w.interval
+                w.interval <- next_delay w.interval
               end
           | Some w ->
               (* Progress: a different frame is outstanding now. *)
               w.w_nonce <- nl;
               w.first_seen <- now;
               w.last_rtx <- now;
-              w.interval <- cfg.scan_period
+              w.interval <- scan_period
           | None ->
               Hashtbl.replace t.watches who
                 {
                   w_nonce = nl;
                   first_seen = now;
                   last_rtx = now;
-                  interval = cfg.scan_period;
+                  interval = scan_period;
                 })
     in
     List.iter (visit ~is_half_open:true) half_open;
@@ -405,7 +338,7 @@ module Improved = struct
     (* Half-open GC just scored [Half_open] evidence; act on any
        escalation now rather than waiting for the suspect's next
        frame. *)
-    send_frames t.net ~src:lname (Leader.containment_sweep t.leader);
+    dispatch_leader t (Leader.containment_sweep l);
     (* Re-arm probe: while the leader sits below Healthy on the
        degraded-mode ladder, each scan tick retries the all-or-nothing
        re-arm — it succeeds exactly when the storage pressure has
@@ -413,15 +346,11 @@ module Improved = struct
        sweep then flushes any pending mode notice (a rung entered
        outside [Leader.receive], or the "healthy" all-clear the
        re-arm just queued) to the membership. *)
-    if Leader.mode t.leader <> Leader.Healthy then
-      ignore (Leader.try_rearm t.leader);
-    send_frames t.net ~src:lname (Leader.mode_sweep t.leader)
+    if Leader.mode l <> Leader.Healthy then ignore (Leader.try_rearm l);
+    dispatch_leader t (Leader.mode_sweep l)
     end
 
-  let member t who =
-    match Hashtbl.find_opt t.members who with
-    | Some m -> m
-    | None -> raise Not_found
+  let member t who = Hashtbl.find t.members who
 
   (* Member-side watchdog: retransmit the handshake with capped
      exponential backoff and jitter while it is outstanding; tear down
@@ -429,10 +358,9 @@ module Improved = struct
      first admin message (the leader's half of the handshake was lost
      and then GC'd). Stops by itself once this member has the group
      key — from then on liveness is the leader scan's job. *)
-  let rec watch_member t cfg who ~delay ~keyless_ticks =
+  let rec watch_member t who ~delay ~keyless_ticks =
     ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:(jittered t cfg delay)
-         (fun () ->
+      (Netsim.Sim.schedule_handle t.sim ~delay:(jittered t delay) (fun () ->
            if not t.retry_stopped then begin
              let m = member t who in
              match Member.state m with
@@ -441,13 +369,12 @@ module Improved = struct
                     leader, it still holds the old session and rejects
                     our AuthInitReq — re-send the close first. *)
                  (match Hashtbl.find_opt t.pending_close who with
-                 | Some close -> send_frames t.net ~src:who close
+                 | Some close -> send t ~src:who close
                  | None -> ());
-                 send_frames t.net ~src:who (Member.retransmit_join m);
+                 send t ~src:who (Member.retransmit_join m);
                  t.rstats.handshake_retransmits <-
                    t.rstats.handshake_retransmits + 1;
-                 watch_member t cfg who ~delay:(next_delay cfg delay)
-                   ~keyless_ticks:0
+                 watch_member t who ~delay:(next_delay delay) ~keyless_ticks:0
              | Member.Connected _ when Member.group_key m = None ->
                  Hashtbl.remove t.pending_close who;
                  if keyless_ticks >= 1 then begin
@@ -456,18 +383,20 @@ module Improved = struct
                       over. *)
                    t.rstats.session_resets <- t.rstats.session_resets + 1;
                    let close = Member.leave m in
-                   send_frames t.net ~src:who close;
+                   send t ~src:who close;
                    Hashtbl.replace t.pending_close who close;
-                   send_frames t.net ~src:who (Member.join m);
-                   watch_member t cfg who ~delay:cfg.handshake_initial
-                     ~keyless_ticks:0
+                   send t ~src:who (Member.join m);
+                   watch_member t who ~delay:handshake_initial ~keyless_ticks:0
                  end
                  else
-                   watch_member t cfg who ~delay:(next_delay cfg delay)
+                   watch_member t who ~delay:(next_delay delay)
                      ~keyless_ticks:(keyless_ticks + 1)
              | Member.Connected _ | Member.Not_connected ->
                  Hashtbl.remove t.pending_close who
            end))
+
+  let rewatch t who =
+    if t.retry then watch_member t who ~delay:handshake_initial ~keyless_ticks:0
 
   (* --- view anti-entropy --- *)
 
@@ -476,8 +405,8 @@ module Improved = struct
      AdminMsg are skipped (not queued behind it) — the next beacon
      will catch them, and the queue cannot fill with stale digests. *)
   let broadcast_digests t =
-    if not t.leader_down then begin
-      let l = t.leader in
+    if not (leader_down t) then begin
+      let l = leader t in
       let digest = Leader.view_digest l in
       let epoch =
         match Leader.group_key l with
@@ -489,7 +418,7 @@ module Improved = struct
           match Leader.session l who with
           | Leader.Connected _ ->
               t.recstats.digests_broadcast <- t.recstats.digests_broadcast + 1;
-              send_frames t.net ~src:(Leader.self l)
+              dispatch_leader t
                 (Leader.enqueue_admin l who
                    (Wire.Admin.View_digest { digest; epoch }))
           | Leader.Not_connected | Leader.Waiting_for_key_ack _
@@ -522,21 +451,17 @@ module Improved = struct
                if Netsim.Vtime.(rc.reset_after <= silent) then begin
                  t.recstats.cold_reauths <- t.recstats.cold_reauths + 1;
                  let close = Member.leave m in
-                 send_frames t.net ~src:who close;
+                 send t ~src:who close;
                  Hashtbl.replace t.pending_close who close;
-                 send_frames t.net ~src:who (Member.join m);
-                 (match t.retry with
-                 | Some cfg ->
-                     watch_member t cfg who ~delay:cfg.handshake_initial
-                       ~keyless_ticks:0
-                 | None -> ());
+                 send t ~src:who (Member.join m);
+                 rewatch t who;
                  ae_watch t rc who ~last_seen:(Member.digests_seen m)
                    ~silent_for:0L
                end
                else begin
                  if Netsim.Vtime.(rc.probe_after <= silent) then begin
                    t.recstats.probes_sent <- t.recstats.probes_sent + 1;
-                   send_frames t.net ~src:who (Member.resync_request m)
+                   send t ~src:who (Member.resync_request m)
                  end;
                  ae_watch t rc who ~last_seen ~silent_for:silent
                end
@@ -552,133 +477,41 @@ module Improved = struct
     let who = Member.self m in
     Netsim.Network.register t.net who (fun bytes ->
         let replies = Member.receive m bytes in
-        send_frames t.net ~src:who replies;
+        send t ~src:who replies;
         if Member.consume_beacon_reset m then begin
           t.recstats.beacon_reauths <- t.recstats.beacon_reauths + 1;
           Hashtbl.remove t.pending_close who;
-          match t.retry with
-          | Some cfg ->
-              watch_member t cfg who ~delay:cfg.handshake_initial
-                ~keyless_ticks:0
-          | None -> ()
+          rewatch t who
         end)
 
-  (* Freeze one delivery layer's counters (the member-side dedup count
-     is filled in by [delivery_stats]). *)
-  let delivery_snapshot d =
-    let c = Delivery.counters d in
-    {
-      Netsim.Stats.queued = c.Delivery.queued;
-      drained = c.Delivery.drained;
-      deduped = 0;
-      resealed = c.Delivery.resealed;
-      rejected_stale = c.Delivery.rejected_stale;
-      delivered_stale = c.Delivery.delivered_stale;
-      queue_bytes_hwm = c.Delivery.queue_bytes_hwm;
-    }
-
-  let add_delivery (a : Netsim.Stats.delivery) (b : Netsim.Stats.delivery) =
-    {
-      Netsim.Stats.queued = a.Netsim.Stats.queued + b.Netsim.Stats.queued;
-      drained = a.Netsim.Stats.drained + b.Netsim.Stats.drained;
-      deduped = a.Netsim.Stats.deduped + b.Netsim.Stats.deduped;
-      resealed = a.Netsim.Stats.resealed + b.Netsim.Stats.resealed;
-      rejected_stale =
-        a.Netsim.Stats.rejected_stale + b.Netsim.Stats.rejected_stale;
-      delivered_stale =
-        a.Netsim.Stats.delivered_stale + b.Netsim.Stats.delivered_stale;
-      queue_bytes_hwm =
-        max a.Netsim.Stats.queue_bytes_hwm b.Netsim.Stats.queue_bytes_hwm;
-    }
-
-  let create ?(seed = 42L) ?latency_us ?policy ?retry ?recovery ?storage_faults
-      ?delivery:delivery_policy ?delivery_budgets ?preauth ?intrusion ~leader
-      ~directory () =
+  let create ?(seed = 42L) ?latency_us ?policy ?(retry = false) ?recovery
+      ?storage_faults ?delivery ?delivery_budgets ?(preauth = false)
+      ?intrusion ~leader ~directory () =
     let sim = Netsim.Sim.create ~seed () in
     let net = Netsim.Network.create ~sim ?latency_us () in
     let rng = Netsim.Sim.rng sim in
-    let sentinel =
-      Option.map
-        (fun config ->
-          Sentinel.create ~config ~clock:(fun () -> Netsim.Sim.now sim) ())
-        intrusion
-    in
     (* With recovery on, the journal writes through a simulated disk —
        optionally wrapped in the seeded fault layer — so a crash can
        capture the durable image instead of trusting the live buffer. *)
-    let disk, fault, backend =
-      match recovery with
-      | None -> (None, None, None)
-      | Some _ ->
-          let mem = Store.Mem.create () in
-          let inner = Store.Mem.handle mem in
-          let fault, handle =
-            match storage_faults with
-            | Some config ->
-                let f =
-                  Store.Fault.create ~config ~rng:(Prng.Splitmix.split rng)
-                    inner
-                in
-                (Some f, Store.Fault.handle f)
-            | None -> (None, inner)
-          in
-          (Some mem, fault, Some handle)
-    in
-    let journal =
-      match recovery with
-      | Some _ -> Some (Journal.create ?disk:backend ())
-      | None -> None
-    in
-    let vault =
-      match recovery with
-      | Some _ -> Some (Store.Vault.create ?disk:backend ())
-      | None -> None
-    in
-    let delivery =
-      Option.map
-        (fun policy ->
-          Delivery.create ~policy ?budgets:delivery_budgets ?disk:backend ())
-        delivery_policy
-    in
-    let l =
-      Leader.create ~self:leader ~rng ~directory ?policy ?journal ?vault
-        ?delivery ?sentinel ()
+    let mgr =
+      Manager.create ~sim ~net ~name:leader ~directory ?policy
+        ~disk:(Option.is_some recovery) ?faults:storage_faults ?delivery
+        ?delivery_budgets ?intrusion ~primary:true ()
     in
     let members = Hashtbl.create 8 in
     let t =
       {
         sim;
         net;
-        leader = l;
+        mgr;
         members;
         directory;
-        policy;
         retry;
         rstats = fresh_retry_stats ();
         recovery;
         recstats = fresh_recovery_stats ();
-        journal;
-        vault;
-        delivery_policy;
-        delivery_budgets;
-        delivery;
-        queue_crash_images = None;
-        acc_delivery = Netsim.Stats.empty_delivery;
-        disk;
-        fault;
-        backend;
-        crash_bytes = None;
-        vault_crash_bytes = None;
-        acc_eio = 0;
-        leader_down = false;
-        acc_recoveries = 0;
-        acc_resyncs = 0;
-        acc_degraded = 0;
-        acc_rearms = 0;
-        acc_shed = 0;
         jrng = Prng.Splitmix.split rng;
         preauth;
-        sentinel;
         preauth_q = Queue.create ();
         preauth_dropped = 0;
         injections_blocked = 0;
@@ -698,13 +531,9 @@ module Improved = struct
         Hashtbl.replace members name m;
         attach_member t m)
       directory;
-    (match retry with
-    | Some cfg ->
-        t.scan_handle <-
-          Some
-            (Netsim.Sim.every_handle sim ~period:cfg.scan_period
-               (leader_scan t cfg))
-    | None -> ());
+    if retry then
+      t.scan_handle <-
+        Some (Netsim.Sim.every_handle sim ~period:scan_period (leader_scan t));
     (match recovery with
     | Some rc ->
         t.recovery_handles <-
@@ -720,25 +549,16 @@ module Improved = struct
 
   let sim t = t.sim
   let net t = t.net
-  let leader t = t.leader
   let retry_stats t = t.rstats
   let recovery_stats t = t.recstats
-  let journal_bytes t = Option.map Journal.contents t.journal
-  let epoch_vault t = t.vault
-
-  let sessions_recovered t = t.acc_recoveries + Leader.recoveries t.leader
-  let resyncs_served t = t.acc_resyncs + Leader.resyncs_served t.leader
-
-  let divergences_detected t =
-    Hashtbl.fold (fun _ m acc -> acc + Member.view_divergences m) t.members 0
+  let journal_bytes t = Option.map Journal.contents (Manager.journal t.mgr)
+  let epoch_vault t = Manager.vault t.mgr
+  let counters t = Manager.counters t.mgr
+  let sessions_recovered t = (counters t).Manager.recoveries
 
   let join t who =
-    let m = member t who in
-    send_frames t.net ~src:who (Member.join m);
-    match t.retry with
-    | Some cfg ->
-        watch_member t cfg who ~delay:cfg.handshake_initial ~keyless_ticks:0
-    | None -> ()
+    send t ~src:who (Member.join (member t who));
+    rewatch t who
 
   let stop_retry t =
     t.retry_stopped <- true;
@@ -749,281 +569,136 @@ module Improved = struct
     List.iter Netsim.Sim.cancel t.recovery_handles;
     t.recovery_handles <- []
 
-  let leave t who =
-    let m = member t who in
-    send_frames t.net ~src:who (Member.leave m)
+  let leave t who = send t ~src:who (Member.leave (member t who))
 
   let send_app t who body =
-    let m = member t who in
-    send_frames t.net ~src:who (Member.send_app m body)
+    send t ~src:who (Member.send_app (member t who) body)
 
-  let dispatch_leader t frames =
-    send_frames t.net ~src:(Leader.self t.leader) frames
-
-  let rekey t = dispatch_leader t (Leader.rekey t.leader)
-  let expel t who = dispatch_leader t (Leader.expel t.leader who)
+  let rekey t = dispatch_leader t (Leader.rekey (leader t))
+  let expel t who = dispatch_leader t (Leader.expel (leader t) who)
 
   (* --- store-and-forward --- *)
 
-  let mark_offline t who = Leader.mark_offline t.leader who
-  let mark_online t who = dispatch_leader t (Leader.mark_online t.leader who)
-  let offline_members t = Leader.offline_members t.leader
-  let delivery t = t.delivery
+  let mark_offline t who = Leader.mark_offline (leader t) who
+  let mark_online t who = dispatch_leader t (Leader.mark_online (leader t) who)
+  let offline_members t = Leader.offline_members (leader t)
+  let delivery t = Manager.delivery t.mgr
 
   let queue_depth t who =
-    match t.delivery with Some d -> Delivery.depth d ~member:who | None -> 0
+    match delivery t with Some d -> Delivery.depth d ~member:who | None -> 0
 
   let total_queue_depth t =
-    match t.delivery with Some d -> Delivery.total_depth d | None -> 0
+    match delivery t with Some d -> Delivery.total_depth d | None -> 0
 
   let delivery_stats t =
-    let live =
-      match t.delivery with
-      | Some d -> delivery_snapshot d
-      | None -> Netsim.Stats.empty_delivery
-    in
     let deduped =
       Hashtbl.fold
         (fun _ m acc -> acc + Member.deliveries_deduped m)
         t.members 0
     in
-    let s = add_delivery t.acc_delivery live in
-    { s with Netsim.Stats.deduped }
+    { (counters t).Manager.delivery with Netsim.Stats.deduped }
 
   let delivery_counters t = Netsim.Stats.delivery_named (delivery_stats t)
 
   (* --- leader crash and restart --- *)
 
   let crash_leader t =
-    if not t.leader_down then begin
-      t.leader_down <- true;
+    if not (leader_down t) then begin
       t.recstats.leader_crashes <- t.recstats.leader_crashes + 1;
-      (* These counters die with the crashed instance; bank them. *)
-      t.acc_recoveries <- t.acc_recoveries + Leader.recoveries t.leader;
-      t.acc_resyncs <- t.acc_resyncs + Leader.resyncs_served t.leader;
-      (* What a restarted process will find is the DURABLE image, not
-         the live buffer: unsynced bytes (e.g. behind a dropped fsync)
-         die here. *)
-      (match (t.disk, t.journal) with
-      | Some mem, Some j ->
-          t.crash_bytes <-
-            Some (Option.value ~default:"" (Store.Mem.durable_of mem (Journal.file j)))
-      | _ -> ());
-      (match t.disk with
-      | Some mem ->
-          t.vault_crash_bytes <-
-            Some
-              (Option.value ~default:""
-                 (Store.Mem.durable_of mem Store.Vault.default_file))
-      | None -> ());
-      (* Same rule for the delivery queues: a restarted process finds
-         each queue file's durable image, not the live structure. *)
-      (match (t.disk, t.delivery) with
-      | Some mem, Some d ->
-          t.queue_crash_images <-
-            Some
-              (List.map
-                 (fun (file, _) ->
-                   ( file,
-                     Option.value ~default:"" (Store.Mem.durable_of mem file) ))
-                 (Delivery.files d))
-      | _ -> ());
       (* The pre-auth queue is process memory; a crash loses it. *)
       Queue.clear t.preauth_q;
-      Netsim.Network.unregister t.net (Leader.self t.leader)
+      Manager.crash t.mgr
     end
 
-  (* Retransmit outstanding recovery challenges every scan until they
-     are answered or [challenge_timeout] has passed, then give up on
-     the stragglers — the cold path. *)
-  let rec recovery_scan t rc ~started ~period =
-    ignore
-      (Netsim.Sim.schedule_handle t.sim ~delay:period (fun () ->
-           if (not t.leader_down) && not t.retry_stopped then begin
-             let now = Netsim.Sim.now t.sim in
-             let pending = Leader.recovering t.leader in
-             if pending <> [] then begin
-               let expired =
-                 Netsim.Vtime.(rc.challenge_timeout <= Int64.sub now started)
-               in
-               List.iter
-                 (fun who ->
-                   if expired then begin
-                     if Leader.abort_recovery t.leader who then
-                       t.recstats.challenges_failed <-
-                         t.recstats.challenges_failed + 1
-                   end
-                   else begin
-                     t.recstats.challenge_retransmits <-
-                       t.recstats.challenge_retransmits + 1;
-                     send_frames t.net ~src:(Leader.self t.leader)
-                       (Leader.retransmit t.leader who)
-                   end)
-                 pending;
-               if not expired then recovery_scan t rc ~started ~period
-             end
-           end))
-
-  (* Re-broadcast the cold-restart beacons to members that have not
-     rejoined yet, every [period], until [challenge_timeout] has
-     passed. A member that already challenged re-sends its stored
-     challenge on the duplicate (same nonce), and the leader re-acks a
-     matching challenge, so every lost frame in the 3-message exchange
-     is covered. Stops early if this leader incarnation is replaced. *)
-  let rec beacon_scan t rc ~incarnation ~beacons ~started ~period =
+  (* Run [tick] every [period] on behalf of one leader incarnation for
+     as long as it returns [true]. The loop ends once that incarnation
+     is down or replaced, so a second restart within one period leaves
+     one scan, not two. *)
+  let rec incarnation_scan t ~incarnation ~period tick =
     ignore
       (Netsim.Sim.schedule_handle t.sim ~delay:period (fun () ->
            if
-             (not t.leader_down) && (not t.retry_stopped)
-             && t.leader == incarnation
-             && Netsim.Vtime.(
-                  Int64.sub (Netsim.Sim.now t.sim) started < rc.challenge_timeout)
-           then begin
-             let missing =
-               List.filter
-                 (fun (f : Wire.Frame.t) ->
-                   match Leader.session t.leader f.Wire.Frame.recipient with
-                   | Leader.Not_connected -> true
-                   | _ -> false)
-                 beacons
-             in
-             if missing <> [] then begin
-               t.recstats.cold_beacons_sent <-
-                 t.recstats.cold_beacons_sent + List.length missing;
-               send_frames t.net ~src:(Leader.self t.leader) missing;
-               beacon_scan t rc ~incarnation ~beacons ~started ~period
-             end
-           end))
+             (not (leader_down t)) && (not t.retry_stopped)
+             && leader t == incarnation && tick ()
+           then incarnation_scan t ~incarnation ~period tick))
 
-  (* Bank the dying journal's retry counter before replacing it. *)
-  let retire_journal t =
-    (match t.journal with
-    | Some j -> t.acc_eio <- t.acc_eio + Journal.eio_retries j
-    | None -> ());
-    t.journal <- None
+  (* Retransmit the outstanding recovery challenges every scan until
+     they are answered or [challenge_timeout] has passed, then give up
+     on the stragglers — the cold path. *)
+  let recovery_scan t rc ~incarnation ~started =
+    incarnation_scan t ~incarnation ~period:scan_period (fun () ->
+        let pending = Leader.recovering incarnation in
+        let expired =
+          Netsim.Vtime.(
+            rc.challenge_timeout <= Int64.sub (Netsim.Sim.now t.sim) started)
+        in
+        List.iter
+          (fun who ->
+            if expired then begin
+              if Leader.abort_recovery incarnation who then
+                t.recstats.challenges_failed <- t.recstats.challenges_failed + 1
+            end
+            else begin
+              t.recstats.challenge_retransmits <-
+                t.recstats.challenge_retransmits + 1;
+              dispatch_leader t (Leader.retransmit incarnation who)
+            end)
+          pending;
+        pending <> [] && not expired)
+
+  (* Re-broadcast the cold-restart beacons to members that have not
+     rejoined yet, every [digest_period], until [challenge_timeout] has
+     passed. A member that already challenged re-sends its stored
+     challenge on the duplicate (same nonce), and the leader re-acks a
+     matching challenge, so every lost frame in the 3-message exchange
+     is covered. *)
+  let beacon_scan t rc ~incarnation ~beacons ~started =
+    incarnation_scan t ~incarnation ~period:rc.digest_period (fun () ->
+        let missing =
+          List.filter
+            (fun (f : Wire.Frame.t) ->
+              match Leader.session incarnation f.Wire.Frame.recipient with
+              | Leader.Not_connected -> true
+              | _ -> false)
+            beacons
+        in
+        if
+          Netsim.Vtime.(
+            rc.challenge_timeout <= Int64.sub (Netsim.Sim.now t.sim) started)
+          || missing = []
+        then false
+        else begin
+          t.recstats.cold_beacons_sent <-
+            t.recstats.cold_beacons_sent + List.length missing;
+          dispatch_leader t missing;
+          true
+        end)
 
   let restart_leader ?(warm = true) ?journal_bytes t =
-    let lname = Leader.self t.leader in
-    let rng = Netsim.Sim.rng t.sim in
-    (* Ladder counters die with the replaced automaton; bank them.
-       (Banked here rather than in [crash_leader] so a crash-free
-       restart keeps them too.) *)
-    t.acc_degraded <- t.acc_degraded + Leader.degraded_entries t.leader;
-    t.acc_rearms <- t.acc_rearms + Leader.rearms t.leader;
-    (* Explicit bytes (tests feeding tampered journals) win; then the
-       durable crash image if one was captured; the live buffer is the
-       last resort (restart without a crash). *)
-    let bytes =
-      match (journal_bytes, t.crash_bytes) with
-      | (Some _ as b), _ -> b
-      | None, Some _ ->
-          t.recstats.crash_images <- t.recstats.crash_images + 1;
-          t.crash_bytes
-      | None, None -> Option.map Journal.contents t.journal
+    let r =
+      Manager.restart ?journal_image:journal_bytes ~warm:(fun _ -> warm) t.mgr
     in
-    t.crash_bytes <- None;
-    (* The restarted process re-opens the epoch vault from its durable
-       image (what the crash left on "disk"), not the live structure —
-       a put whose fsync was dropped must not survive. *)
-    (match t.recovery with
-    | Some _ ->
-        let image =
-          match t.vault_crash_bytes with
-          | Some b -> b
-          | None -> (
-              match t.vault with Some v -> Store.Vault.contents v | None -> "")
-        in
-        t.vault <- Some (Store.Vault.of_bytes ?disk:t.backend image)
-    | None -> ());
-    t.vault_crash_bytes <- None;
-    let vault = t.vault in
-    (* The delivery queues follow the same discipline: bank the dead
-       incarnation's counters, then rebuild the layer from the captured
-       durable images (or the live images on a crash-free restart). *)
-    (match t.delivery_policy with
-    | Some policy ->
-        (match t.delivery with
-        | Some d ->
-            t.acc_delivery <- add_delivery t.acc_delivery (delivery_snapshot d);
-            t.acc_shed <- t.acc_shed + (Delivery.counters d).Delivery.records_shed
-        | None -> ());
-        let images =
-          match t.queue_crash_images with
-          | Some imgs -> imgs
-          | None -> (
-              match t.delivery with Some d -> Delivery.files d | None -> [])
-        in
-        t.delivery <-
-          Some
-            (Delivery.of_images ~policy ?budgets:t.delivery_budgets
-               ?disk:t.backend images)
-    | None -> ());
-    t.queue_crash_images <- None;
-    let delivery = t.delivery in
-    match (warm, bytes) with
-    | true, Some b ->
-        retire_journal t;
-        let j, state, status = Journal.recover ?disk:t.backend b in
-        let l, challenges =
-          Leader.recover ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ~journal:j ?vault ?delivery ?sentinel:t.sentinel
-            ~state ()
-        in
-        t.leader <- l;
-        t.journal <- Some j;
-        t.leader_down <- false;
-        attach_leader t;
+    let rc = Option.value t.recovery ~default:default_recovery in
+    let incarnation = leader t in
+    let started = Netsim.Sim.now t.sim in
+    (match r.Manager.path with
+    | Manager.Warm ->
         t.recstats.warm_restarts <- t.recstats.warm_restarts + 1;
         t.recstats.challenges_sent <-
-          t.recstats.challenges_sent + List.length challenges;
-        send_frames t.net ~src:lname challenges;
-        let rc = Option.value t.recovery ~default:default_recovery in
-        let period =
-          match t.retry with
-          | Some cfg -> cfg.scan_period
-          | None -> Netsim.Vtime.of_ms 200
-        in
-        recovery_scan t rc ~started:(Netsim.Sim.now t.sim) ~period;
-        status
-    | false, Some b ->
-        (* Cold restart with a surviving journal: no session is
-           trusted, but the journal still pins the epoch floor and
-           stamps the cold-restart beacons. *)
-        retire_journal t;
-        let recs, status = Journal.replay b in
-        let state = Journal.state_of_records recs in
-        let j = Journal.create ?disk:t.backend () in
-        let l, beacons =
-          Leader.cold_recover ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ~journal:j ?vault ?delivery ?sentinel:t.sentinel
-            ~state ()
-        in
-        t.leader <- l;
-        t.journal <- Some j;
-        t.leader_down <- false;
-        attach_leader t;
+          t.recstats.challenges_sent + List.length r.Manager.frames;
+        dispatch_leader t r.Manager.frames;
+        recovery_scan t rc ~incarnation ~started
+    | Manager.Cold ->
         t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
-        let rc = Option.value t.recovery ~default:default_recovery in
         if rc.beacon_on_cold then begin
           t.recstats.cold_beacons_sent <-
-            t.recstats.cold_beacons_sent + List.length beacons;
-          send_frames t.net ~src:lname beacons;
-          beacon_scan t rc ~incarnation:l ~beacons
-            ~started:(Netsim.Sim.now t.sim) ~period:rc.digest_period
-        end;
-        status
-    | _, None ->
-        (* No journal at all (recovery off): the PR-2 baseline — a
-           fresh automaton that knows nothing. *)
-        let l =
-          Leader.create ~self:lname ~rng ~directory:t.directory
-            ?policy:t.policy ?delivery ?sentinel:t.sentinel ()
-        in
-        t.leader <- l;
-        t.leader_down <- false;
-        attach_leader t;
-        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
-        Journal.Clean
+            t.recstats.cold_beacons_sent + List.length r.Manager.frames;
+          dispatch_leader t r.Manager.frames;
+          beacon_scan t rc ~incarnation ~beacons:r.Manager.frames ~started
+        end
+    | Manager.Fresh ->
+        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1);
+    r.Manager.status
 
   let schedule_leader_crash ?restart_after ?(warm = true) ?journal_bytes t ~at
       () =
@@ -1041,8 +716,6 @@ module Improved = struct
                       ignore (restart_leader ~warm ?journal_bytes t)))
            | None -> ()))
 
-  let leader_down t = t.leader_down
-
   let start_periodic_rekey t ~period ?until () =
     Netsim.Sim.every_handle t.sim ~period ?until (fun () -> rekey t)
 
@@ -1053,7 +726,7 @@ module Improved = struct
        closes the session, so the comparison is only meaningful while
        the leader still runs a session for [who]. An expelled member
        keeps its old [rcv_A] but the session it belonged to is gone. *)
-    match Leader.session t.leader who with
+    match Leader.session (leader t) who with
     | Leader.Not_connected | Leader.Waiting_for_key_ack _
     | Leader.Recovering _ ->
         (* A recovering session's [snd_A] died with the crashed leader;
@@ -1063,7 +736,7 @@ module Improved = struct
     | Leader.Connected _ | Leader.Waiting_for_ack _ ->
         let m = member t who in
         let rcv = Member.accepted_admin m in
-        let snd = Leader.sent_admin t.leader who in
+        let snd = Leader.sent_admin (leader t) who in
         let rec is_prefix xs ys =
           match (xs, ys) with
           | [], _ -> true
@@ -1079,7 +752,7 @@ module Improved = struct
      session, everyone (leader included) agrees on the group-key
      epoch, and §5.4 ordering holds for every live session. *)
   let converged t =
-    match Leader.group_key t.leader with
+    match Leader.group_key (leader t) with
     | None -> false
     | Some gk ->
         Hashtbl.fold
@@ -1098,7 +771,7 @@ module Improved = struct
   let view_converged t =
     converged t
     &&
-    let lview = Leader.members t.leader in
+    let lview = Leader.members (leader t) in
     Hashtbl.fold
       (fun _ m acc -> acc && Member.group_view m = lview)
       t.members true
@@ -1122,71 +795,43 @@ module Improved = struct
       ("challenges_failed", t.recstats.challenges_failed);
       ("sessions_recovered", sessions_recovered t);
       ("digests_broadcast", t.recstats.digests_broadcast);
-      ("divergences_detected", divergences_detected t);
-      ("resyncs_served", resyncs_served t);
+      ( "divergences_detected",
+        Hashtbl.fold (fun _ m n -> n + Member.view_divergences m) t.members 0 );
+      ("resyncs_served", (counters t).Manager.resyncs_served);
       ("probes_sent", t.recstats.probes_sent);
       ("cold_reauths", t.recstats.cold_reauths);
       ("cold_beacons_sent", t.recstats.cold_beacons_sent);
       ("beacon_reauths", t.recstats.beacon_reauths);
     ]
 
-  let storage_stats t =
-    let faults =
-      match t.fault with
-      | Some f -> Store.Fault.counters f
-      | None -> Store.Fault.empty_counters ()
-    in
-    let live_retries =
-      match t.journal with Some j -> Journal.eio_retries j | None -> 0
-    in
-    {
-      Netsim.Stats.torn_writes = faults.Store.Fault.torn_writes;
-      short_writes = faults.Store.Fault.short_writes;
-      dropped_fsyncs = faults.Store.Fault.dropped_fsyncs;
-      eio_injected = faults.Store.Fault.eio_injected;
-      eio_retries = t.acc_eio + live_retries;
-      crash_images_replayed = t.recstats.crash_images;
-    }
-
-  let storage_counters t = Netsim.Stats.storage_named (storage_stats t)
-
   (* --- resource pressure and the degraded-mode ladder --- *)
 
-  let fault t = t.fault
-  let leader_mode t = Leader.mode t.leader
-  let durability_armed t = Leader.durability_armed t.leader
+  let fault t = Manager.fault t.mgr
 
-  let degraded_entries t = t.acc_degraded + Leader.degraded_entries t.leader
-  let rearms t = t.acc_rearms + Leader.rearms t.leader
+  let fault_counters t =
+    match fault t with
+    | Some f -> Store.Fault.counters f
+    | None -> Store.Fault.empty_counters ()
 
-  let set_space_budget t b =
-    match t.fault with
-    | Some f -> Store.Fault.set_space_budget f b
-    | None -> ()
+  let storage_counters t =
+    let faults = fault_counters t in
+    Netsim.Stats.storage_named
+      {
+        Netsim.Stats.torn_writes = faults.Store.Fault.torn_writes;
+        short_writes = faults.Store.Fault.short_writes;
+        dropped_fsyncs = faults.Store.Fault.dropped_fsyncs;
+        eio_injected = faults.Store.Fault.eio_injected;
+        eio_retries = (counters t).Manager.eio_retries;
+        crash_images_replayed = (counters t).Manager.crash_images;
+      }
 
-  let heal_stall t =
-    match t.fault with Some f -> Store.Fault.heal_stall f | None -> ()
-
-  let trigger_stall t =
-    match t.fault with Some f -> Store.Fault.trigger_stall f | None -> ()
-
-  let disk_bytes_used t =
-    match t.fault with Some f -> Store.Fault.bytes_used f | None -> 0
+  let rearms t = (counters t).Manager.rearms
 
   let resource_stats ?(repl_snapshots = 0) t =
-    let faults =
-      match t.fault with
-      | Some f -> Store.Fault.counters f
-      | None -> Store.Fault.empty_counters ()
-    in
-    let shed =
-      match t.delivery with
-      | Some d -> (Delivery.counters d).Delivery.records_shed
-      | None -> 0
-    in
+    let faults = fault_counters t in
     {
-      Netsim.Stats.degraded_entries = degraded_entries t;
-      records_shed = t.acc_shed + shed;
+      Netsim.Stats.degraded_entries = (counters t).Manager.degraded_entries;
+      records_shed = (counters t).Manager.records_shed;
       enospc_hits = faults.Store.Fault.enospc_hits;
       fsync_stall_ms_max = faults.Store.Fault.fsync_stall_ms_max;
       repl_lag_snapshots = repl_snapshots;
@@ -1197,12 +842,9 @@ module Improved = struct
 
   (* --- intrusion containment --- *)
 
-  let sentinel t = t.sentinel
-  let preauth_backlog t = Queue.length t.preauth_q
-
   let sentinel_stats t =
     let base =
-      match t.sentinel with
+      match sentinel t with
       | Some sn -> Sentinel.to_stats (Sentinel.counters sn)
       | None -> Netsim.Stats.empty_sentinel
     in
@@ -1230,13 +872,13 @@ module Legacy = struct
     let l = Legacy_leader.create ~self:leader ~rng ~directory ?policy () in
     let members = Hashtbl.create 8 in
     Netsim.Network.register net leader (fun bytes ->
-        send_frames net ~src:leader (Legacy_leader.receive l bytes));
+        Manager.send net ~src:leader (Legacy_leader.receive l bytes));
     List.iter
       (fun (name, password) ->
         let m = Legacy_member.create ~self:name ~leader ~password ~rng in
         Hashtbl.replace members name m;
         Netsim.Network.register net name (fun bytes ->
-            send_frames net ~src:name (Legacy_member.receive m bytes)))
+            Manager.send net ~src:name (Legacy_member.receive m bytes)))
       directory;
     { sim; net; leader = l; members }
 
@@ -1244,22 +886,19 @@ module Legacy = struct
   let net t = t.net
   let leader t = t.leader
 
-  let member t who =
-    match Hashtbl.find_opt t.members who with
-    | Some m -> m
-    | None -> raise Not_found
+  let member t who = Hashtbl.find t.members who
 
   let join t who =
-    send_frames t.net ~src:who (Legacy_member.join (member t who))
+    Manager.send t.net ~src:who (Legacy_member.join (member t who))
 
   let leave t who =
-    send_frames t.net ~src:who (Legacy_member.leave (member t who))
+    Manager.send t.net ~src:who (Legacy_member.leave (member t who))
 
   let send_app t who body =
-    send_frames t.net ~src:who (Legacy_member.send_app (member t who) body)
+    Manager.send t.net ~src:who (Legacy_member.send_app (member t who) body)
 
   let rekey t =
-    send_frames t.net ~src:(Legacy_leader.self t.leader)
+    Manager.send t.net ~src:(Legacy_leader.self t.leader)
       (Legacy_leader.rekey t.leader)
 
   let run ?until t = Netsim.Sim.run ?until t.sim

@@ -6,36 +6,16 @@
     virtual times, [run] the simulation, then inspect member views,
     leader state, events and the network trace.
 
-    {!Improved} drives the §3.2 protocol; {!Legacy} drives the §2.2
-    baseline. Both expose {!Improved.prefix_ok}-style checks used to
-    validate §5.4's ordering property at runtime. *)
+    {!Improved} drives the §3.2 protocol: its leader is one
+    {!Manager} process (disk, journal, vault, queues, sentinel and the
+    crash/restart rebuild), around which the driver runs the liveness
+    policies — handshake retry, leader scans, view anti-entropy and
+    the pre-auth door. {!Legacy} drives the §2.2 baseline. Both expose
+    {!Improved.prefix_ok}-style checks used to validate §5.4's
+    ordering property at runtime. *)
 
 module Improved : sig
   type t
-
-  (** Tuning for the timeout/retry/backoff layer. All delays are
-      virtual time; the jittered backoff draws from a PRNG split off
-      the simulation seed, so retry schedules replay
-      deterministically. *)
-  type retry_config = {
-    handshake_initial : Netsim.Vtime.t;
-        (** First member-side retransmission delay. *)
-    handshake_max : Netsim.Vtime.t;  (** Backoff cap. *)
-    backoff : float;  (** Delay multiplier per attempt (e.g. [2.0]). *)
-    jitter : float;
-        (** Each delay is scaled by a uniform factor in
-            [1-jitter, 1+jitter]. *)
-    scan_period : Netsim.Vtime.t;
-        (** Leader-side scan period for outstanding
-            [AuthKeyDist]/[AdminMsg] frames. *)
-    half_open_gc : Netsim.Vtime.t;
-        (** Age after which a stalled half-open handshake is
-            garbage-collected on the leader. *)
-  }
-
-  val default_retry : retry_config
-  (** 250 ms initial, 4 s cap, ×2 backoff, ±20% jitter, 200 ms scans,
-      3 s half-open GC. *)
 
   (** Counters for the recovery layer, for chaos reports. *)
   type retry_stats = {
@@ -95,90 +75,68 @@ module Improved : sig
     mutable beacon_reauths : int;
         (** Members that rejoined via the beacon shortcut instead of
             waiting out the [reset_after] watchdog. *)
-    mutable crash_images : int;
-        (** Restarts recovered from a captured durable crash image. *)
   }
-
-  (** Tuning for pre-auth flood control: a bounded FIFO in front of
-      the leader's unauthenticated handshake path, served in jittered
-      batches. *)
-  type preauth_config = {
-    capacity : int;  (** Queue bound; arrivals beyond it tail-drop. *)
-    period : Netsim.Vtime.t;  (** Service tick (±25% jitter). *)
-    burst : int;  (** Handshakes served per tick. *)
-  }
-
-  val default_preauth : preauth_config
-  (** 32-slot queue, 4 handshakes per 50 ms tick. *)
 
   val create :
     ?seed:int64 ->
     ?latency_us:int * int ->
     ?policy:Leader.policy ->
-    ?retry:retry_config ->
+    ?retry:bool ->
     ?recovery:recovery_config ->
     ?storage_faults:Store.Fault.config ->
     ?delivery:Delivery.policy ->
     ?delivery_budgets:Delivery.budgets ->
-    ?preauth:preauth_config ->
+    ?preauth:bool ->
     ?intrusion:Sentinel.config ->
     leader:Types.agent ->
     directory:(Types.agent * string) list ->
     unit ->
     t
-  (** Build a cluster: one leader plus a member automaton for every
-      directory entry, all attached to a fresh simulated network.
+  (** Build a cluster: one leader process ({!Manager}) plus a member
+      automaton for every directory entry, all attached to a fresh
+      simulated network.
 
-      With [retry] set, the driver also runs the recovery layer:
-      member handshakes are retransmitted with capped exponential
-      backoff and jitter, the leader periodically re-sends outstanding
-      [AuthKeyDist]/[AdminMsg] frames and garbage-collects half-open
-      handshakes, and authenticated-but-keyless sessions are reset.
-      The leader scan is an [until]-less periodic task, so runs with
-      [retry] should bound execution via {!run}[ ~until] or call
-      {!stop_retry} to let the queue drain. Without [retry] the driver
-      behaves exactly as before (single-shot sends).
+      With [retry] (default [false]) the driver runs the recovery
+      layer: member handshakes are retransmitted with capped
+      exponential backoff and jitter (250 ms first delay, ×2 up to 4 s,
+      ±20% jitter from a PRNG split off the seed, so retry schedules
+      replay deterministically), the leader re-sends outstanding
+      [AuthKeyDist]/[AdminMsg] frames every 200 ms scan and
+      garbage-collects handshakes half-open for 3 s, and
+      authenticated-but-keyless sessions are reset.
 
-      With [recovery] set, the driver additionally journals the
-      leader's trust-critical state, broadcasts periodic [View_digest]
-      beacons, runs a member-side anti-entropy watchdog
-      (probe-then-cold-reset on beacon silence), and supports
-      {!crash_leader}/{!restart_leader}. Like the leader scan, these
-      are periodic tasks: bound runs with {!run}[ ~until] or
+      With [recovery] the leader journals its trust-critical state and
+      its epoch vault through a simulated disk ([storage_faults] wraps
+      it in the seeded {!Store.Fault} layer), the driver broadcasts
+      periodic [View_digest] beacons and runs a member-side
+      anti-entropy watchdog (probe, then cold reset, on beacon
+      silence), and {!crash_leader}/{!restart_leader} work on durable
+      disk images ({!Manager.crash}, {!Manager.restart}), so unsynced
+      bytes really die in the crash.
+
+      The retry scan and the recovery beacons are [until]-less
+      periodic tasks: bound runs with {!run}[ ~until] or call
       {!stop_retry}.
 
-      With [recovery] set the journal also writes through a simulated
-      disk ({!Store.Mem}); [storage_faults] additionally wraps the
-      disk in the seeded fault layer ({!Store.Fault}), injecting torn
-      writes, short writes, dropped fsyncs and transient EIO into the
-      journal's write path. A subsequent {!crash_leader} captures the
-      {e durable} disk image, and {!restart_leader} recovers from that
-      image — so unsynced bytes really die in the crash.
+      With [delivery] the leader runs a store-and-forward {!Delivery}
+      layer under the given epoch-window policy, on the same disk when
+      recovery is on: traffic for members marked offline
+      ({!mark_offline}, or expelled-as-silent) is durably queued,
+      drained at reconnect, and survives a crash as the journal does
+      (the member's delivery floor absorbs re-drained duplicates).
+      [delivery_budgets] bounds the queues' memory: past a per-member
+      or global byte budget the layer sheds oldest-first behind
+      durable [Drop] markers, and the leader notes the pressure on its
+      degraded-mode ladder.
 
-      With [delivery] set, the leader additionally runs a
-      store-and-forward {!Delivery} layer under the given epoch-window
-      policy, on the same (possibly fault-wrapped) backend as the
-      journal when recovery is on: traffic for members marked offline
-      ({!mark_offline}, or expelled-as-silent) is durably queued and
-      drained at reconnect. {!crash_leader} captures each queue file's
-      durable image and {!restart_leader} rebuilds the layer from
-      those images, so acknowledged deliveries survive the crash and
-      unacknowledged ones re-drain (the member's delivery floor
-      absorbs the duplicates). [delivery_budgets] additionally bounds
-      the queues' memory: once a per-member or global byte budget is
-      crossed, the layer sheds oldest-first with durable [Drop]
-      markers, and the leader notes the pressure on its degraded-mode
-      ladder.
-
-      With [preauth] set, [AuthInitReq] frames wait in a bounded FIFO
-      and are served in jittered batches instead of reaching the
-      leader on arrival — a pre-auth flood pays in queueing delay and
-      tail drops, not leader work. With [intrusion] set, the driver
-      runs one {!Sentinel} on the simulator clock, threads it into
-      every leader incarnation (suspicion and quarantines survive
-      restarts), applies {!Sentinel.admit_preauth} at the queue door,
-      and dispatches {!Leader.containment_sweep} from its periodic
-      scan and after every service tick. *)
+      With [preauth] (default [false]), [AuthInitReq] frames wait in a
+      32-slot FIFO served 4 per 50 ms tick (±25% jitter) instead of
+      reaching the leader on arrival — a pre-auth flood pays in
+      queueing delay and tail drops, not leader work. With [intrusion]
+      the leader process runs one {!Sentinel} that survives restarts;
+      the driver applies {!Sentinel.admit_preauth} at the queue door
+      and dispatches {!Leader.containment_sweep} from its scan and
+      after every service tick. *)
 
   val sim : t -> Netsim.Sim.t
   val net : t -> Netsim.Network.t
@@ -204,56 +162,25 @@ module Improved : sig
       ([sessions_recovered], [divergences_detected], [resyncs_served])
       as labelled counters. *)
 
-  val storage_stats : t -> Netsim.Stats.storage
-  (** What the storage-fault layer did to the journal so far:
-      injection counters from {!Store.Fault}, EIO retries absorbed by
-      the journal (summed across leader incarnations), and crash
-      images replayed. All zero when [storage_faults] was not given. *)
-
   val storage_counters : t -> (string * int) list
-  (** {!storage_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
+  (** What the storage-fault layer did so far, as labelled counters for
+      {!Netsim.Stats.pp_named}: injections from {!Store.Fault}, EIO
+      retries absorbed by the journals, and crash images replayed. All
+      zero without [storage_faults]. *)
 
   (** {2 Resource pressure and the degraded-mode ladder} *)
 
   val fault : t -> Store.Fault.t option
-  (** The seeded fault layer under the leader's storage, when
-      [storage_faults] was given — the harness's handle for turning
-      disk pressure on and off mid-run ({!Store.Fault.set_space_budget},
-      {!Store.Fault.heal_stall}). One instance outlives every leader
-      incarnation. *)
-
-  val leader_mode : t -> Leader.mode
-  (** The current leader incarnation's degraded-mode rung. A restarted
-      leader starts back at [Healthy] and re-degrades if storage
-      pressure persists. *)
-
-  val durability_armed : t -> bool
-  (** {!Leader.durability_armed} of the current incarnation. *)
-
-  val degraded_entries : t -> int
-  (** Ladder rung entries, summed across leader incarnations. *)
+  (** The seeded fault layer under the leader's disk, when
+      [storage_faults] was given: the harness's handle for turning disk
+      pressure on and off mid-run ({!Store.Fault.set_space_budget},
+      {!Store.Fault.trigger_stall}, {!Store.Fault.heal_stall}). One
+      instance outlives every leader incarnation; lifting the pressure
+      lets the leader's next scan tick re-arm durability. *)
 
   val rearms : t -> int
   (** Successful re-arms back to [Healthy], summed across leader
       incarnations. *)
-
-  val set_space_budget : t -> int option -> unit
-  (** Adjust the simulated disk's byte budget mid-run (no-op without
-      [storage_faults]). [None] lifts the pressure; the leader's next
-      scan tick then re-arms durability. *)
-
-  val heal_stall : t -> unit
-  (** Clear a persistent write stall (no-op without
-      [storage_faults]). *)
-
-  val trigger_stall : t -> unit
-  (** Trip the persistent write stall now (no-op without
-      [storage_faults]). *)
-
-  val disk_bytes_used : t -> int
-  (** Bytes the fault layer currently accounts to the simulated disk
-      (0 without [storage_faults]). *)
 
   val resource_stats : ?repl_snapshots:int -> t -> Netsim.Stats.resource
   (** Resource-pressure counters summed across leader incarnations:
@@ -270,36 +197,22 @@ module Improved : sig
   (** Sessions restored warm (challenge answered), summed across all
       leader incarnations. *)
 
-  val resyncs_served : t -> int
-  (** Divergent views repaired by the leader, summed across
-      incarnations. *)
-
-  val divergences_detected : t -> int
-  (** Beacon mismatches observed by members (cumulative). *)
-
   val crash_leader : t -> unit
-  (** Kill the leader: detach it from the network and drop every frame
-      addressed to it. In-memory automaton state is lost; only the
-      journal bytes survive. Idempotent while down. *)
+  (** Kill the leader process ({!Manager.crash}): frames addressed to
+      it are dropped and the pre-auth queue is lost. Idempotent while
+      down. *)
 
   val restart_leader : ?warm:bool -> ?journal_bytes:string -> t -> Journal.status
-  (** Bring the leader back. With [warm] (default) and a journal, the
-      surviving bytes ([journal_bytes] overrides what the driver
-      holds; after a {!crash_leader} the captured durable image is
-      used, not the live buffer) are {!Journal.recover}ed, the
-      automaton is rebuilt via {!Leader.recover}, and a
-      [RecoveryChallenge] goes to every journalled session, with
-      retransmission until [challenge_timeout]. Returns the journal
-      damage report.
-
-      [~warm:false] is a cold restart: no session is trusted and every
-      member re-authenticates from scratch — but the surviving journal
-      bytes still pin the epoch floor, and (unless
-      [recovery_config.beacon_on_cold] is off) the new incarnation
-      broadcasts authenticated [ColdRestart] beacons so members rejoin
-      without waiting out their watchdog. With no journal at all the
-      cold restart is the PR-2 baseline: a fresh automaton that knows
-      nothing. *)
+  (** Bring the leader back through {!Manager.restart}: from
+      [journal_bytes] when given, else the durable image the crash
+      captured, else the live journal. With [warm] (default) every
+      journalled session gets a [RecoveryChallenge], retransmitted each
+      scan until [challenge_timeout]. [~warm:false] trusts no session
+      but keeps the epoch floor and (unless [beacon_on_cold] is off)
+      broadcasts [ColdRestart] beacons so members rejoin without
+      waiting out their watchdog. Without a journal the restart is a
+      fresh automaton that knows nothing. Returns the journal damage
+      report. *)
 
   val schedule_leader_crash :
     ?restart_after:Netsim.Vtime.t ->
@@ -319,11 +232,10 @@ module Improved : sig
       is enabled. *)
 
   val epoch_vault : t -> Store.Vault.t option
-  (** The durable epoch vault, when recovery is enabled. Rebuilt from
-      its durable image on every {!restart_leader}; the leader floors
-      its epoch counter (and stamps its cold-restart beacons) at the
-      vault's value, so losing the journal's last [Epoch_bump] record
-      no longer yields a stale beacon. *)
+  (** The durable epoch vault, when recovery is enabled: the leader
+      floors its epoch counter (and stamps its cold-restart beacons) at
+      the vault's value, so losing the journal's last [Epoch_bump]
+      record no longer yields a stale beacon. *)
 
   val stop_retry : t -> unit
   (** Cancel the leader scan, the digest broadcast, and all member
@@ -374,9 +286,6 @@ module Improved : sig
   val sentinel : t -> Sentinel.t option
   (** The cluster's intrusion sentinel, when [intrusion] was given at
       {!create}. One instance outlives every leader incarnation. *)
-
-  val preauth_backlog : t -> int
-  (** Pre-auth handshake frames currently queued for service. *)
 
   val sentinel_stats : t -> Netsim.Stats.sentinel
   (** Sentinel counters with the driver's pre-auth queue tail-drop

@@ -28,29 +28,28 @@ let default_config =
    reply in flight gets one scan period to land first. *)
 type mwatch = { w_nonce : Wire.Nonce.t; first_seen : Netsim.Vtime.t }
 
+(* One manager: a {!Manager} process (its own disk, vault, sentinel and
+   leader incarnation, journalling iff primary) plus its place in the
+   replication plane. The process owns the sentinel, not the leader
+   automaton, so suspicion survives promotion and demotion; the
+   primary's instance ships snapshots down the replication stream, a
+   promoting backup merges the replicated snapshot into its own. *)
 type manager = {
-  name : Types.agent;
+  proc : Manager.t;
   idx : int;  (* position in the fixed succession *)
-  disk : Store.Mem.t;  (* this manager's own simulated disk *)
-  vault : Store.Vault.t;
-  mutable leader : Leader.t;  (* replaced on promotion *)
-  mutable journal : Journal.t option;  (* Some iff primary (journalling) *)
   mutable source : Replication.Source.t option;  (* Some iff primary *)
   mutable replica : Replication.Replica.t option;  (* Some iff backup *)
   mutable repl_last : Netsim.Vtime.t;
       (* last liveness-proving replication frame from the primary *)
-  mutable crashed : bool;
   mutable catching_up : bool;
       (* freshly demoted: not promotable until the new source's
          term-opening snapshot has landed in the replica *)
   watches : (Types.agent, mwatch) Hashtbl.t;
-  sentinel : Sentinel.t option;
-      (* This manager's intrusion sentinel. Owned by the manager, not
-         the leader automaton, so suspicion survives promotion and
-         demotion; the primary's instance ships snapshots down the
-         replication stream, a promoting backup merges the replicated
-         snapshot into its own. *)
 }
+
+let name mgr = Manager.name mgr.proc
+let leader_of mgr = Manager.leader mgr.proc
+let crashed mgr = Manager.down mgr.proc
 
 type member_slot = {
   m_name : Types.agent;
@@ -70,7 +69,6 @@ type t = {
   net : Netsim.Network.t;
   config : config;
   directory : (Types.agent * string) list;
-  delivery_policy : Delivery.policy option;
   repl_key : Key.t;
   counters : Replication.counters;
   managers : manager array;
@@ -109,25 +107,19 @@ let primary t =
   let best = ref None in
   Array.iter
     (fun mgr ->
-      if not mgr.crashed then
+      if not (crashed mgr) then
         match mgr.source with
         | Some s -> (
             let term = Replication.Source.term s in
             match !best with
             | Some (bt, _) when bt >= term -> ()
-            | _ -> best := Some (term, mgr.name))
+            | _ -> best := Some (term, name mgr))
         | None -> ())
     t.managers;
   match !best with
   | Some (_, name) -> Some name
   | None ->
-      let n = Array.length t.managers in
-      let rec first i =
-        if i >= n then None
-        else if not t.managers.(i).crashed then Some t.managers.(i).name
-        else first (i + 1)
-      in
-      first 0
+      Option.map name (Array.find_opt (fun mgr -> not (crashed mgr)) t.managers)
 
 (* Next non-crashed manager strictly after [after] in the fixed
    succession, wrapping all the way around — back to [after] itself
@@ -135,27 +127,23 @@ let primary t =
 let succession_next t after =
   let n = Array.length t.managers in
   let idx = ref 0 in
-  Array.iteri (fun i mgr -> if mgr.name = after then idx := i) t.managers;
+  Array.iteri (fun i mgr -> if name mgr = after then idx := i) t.managers;
   let rec find k =
     if k > n then None
     else
       let mgr = t.managers.((!idx + k) mod n) in
-      if not mgr.crashed then Some mgr.name else find (k + 1)
+      if not (crashed mgr) then Some (name mgr) else find (k + 1)
   in
   find 1
 
-let send_frames t ~src frames =
-  List.iter
-    (fun (frame : F.t) ->
-      Netsim.Network.send t.net ~src ~dst:frame.F.recipient (F.encode frame))
-    frames
+let send t ~src frames = Manager.send t.net ~src frames
 
 (* Wire a member automaton onto the network; called again after every
    failover because the automaton is replaced. *)
 let attach_member t slot =
   Netsim.Network.register t.net slot.m_name (fun bytes ->
       let replies = Member.receive slot.automaton bytes in
-      send_frames t ~src:slot.m_name replies;
+      send t ~src:slot.m_name replies;
       List.iter
         (function
           | Member.Recovery_challenged { from } ->
@@ -178,82 +166,76 @@ let attach_member t slot =
    plane, everything else to the leader automaton. Undecodable bytes
    also go to the leader so its reject accounting stays authoritative. *)
 let attach_manager t mgr =
-  Netsim.Network.register t.net mgr.name (fun bytes ->
-      if not mgr.crashed then begin
-        let to_leader () =
-          let via = Netsim.Network.delivering_via t.net in
-          let replies = Leader.receive mgr.leader ?via bytes in
-          send_frames t ~src:mgr.name replies
-        in
-        match F.decode bytes with
-        | Error _ -> to_leader ()
-        | Ok frame -> (
-            match frame.F.label with
-            | F.Repl_record -> (
-                match mgr.replica with
-                | Some r ->
-                    send_frames t ~src:mgr.name
-                      (Replication.Replica.handle_frame r frame)
-                | None -> (
-                    match mgr.source with
-                    | Some s ->
-                        (* A record reaching a sourcing manager is the
-                           reconciliation plane at work: either a
-                           zombie peer's dead stream (answered with a
-                           demotion signal) or a successor's
-                           higher-term stream reaching us after a
-                           heal — in which case [on_superseded] just
-                           demoted us, and the frame that proved it
-                           seeds the fresh replica below. *)
-                        Replication.Source.handle_peer_record s frame;
-                        (match mgr.replica with
-                        | Some r ->
-                            send_frames t ~src:mgr.name
-                              (Replication.Replica.handle_frame r frame)
-                        | None -> ())
-                    | None -> ()))
-            | F.Repl_ack | F.Repl_fetch | F.Repl_stale -> (
-                match mgr.source with
-                | Some s -> Replication.Source.handle_frame s frame
-                | None ->
-                    (* A backup has nothing to demote; stray signals
-                       are just dropped. *)
-                    ())
-            | _ -> to_leader ())
-      end)
+  Manager.attach mgr.proc (fun bytes ->
+      let to_leader () =
+        Manager.deliver mgr.proc ?via:(Netsim.Network.delivering_via t.net)
+          bytes
+      in
+      match F.decode bytes with
+      | Error _ -> to_leader ()
+      | Ok frame -> (
+          match frame.F.label with
+          | F.Repl_record -> (
+              match mgr.replica with
+              | Some r ->
+                  Manager.dispatch mgr.proc
+                    (Replication.Replica.handle_frame r frame)
+              | None -> (
+                  match mgr.source with
+                  | Some s ->
+                      (* A record reaching a sourcing manager is the
+                         reconciliation plane at work: either a zombie
+                         peer's dead stream (answered with a demotion
+                         signal) or a successor's higher-term stream
+                         reaching us after a heal — in which case
+                         [on_superseded] just demoted us, and the frame
+                         that proved it seeds the fresh replica
+                         below. *)
+                      Replication.Source.handle_peer_record s frame;
+                      (match mgr.replica with
+                      | Some r ->
+                          Manager.dispatch mgr.proc
+                            (Replication.Replica.handle_frame r frame)
+                      | None -> ())
+                  | None -> ()))
+          | F.Repl_ack | F.Repl_fetch | F.Repl_stale -> (
+              match mgr.source with
+              | Some s -> Replication.Source.handle_frame s frame
+              | None ->
+                  (* A backup has nothing to demote; stray signals are
+                     just dropped. *)
+                  ())
+          | _ -> to_leader ()))
 
-(* Tear down the current session (politely, so a live manager frees
-   its slot) and run a fresh handshake against [target]. *)
-let switch_to t slot ~target =
-  send_frames t ~src:slot.m_name (Member.leave slot.automaton);
-  slot.target <- target;
-  slot.automaton <-
-    Member.create ~self:slot.m_name ~leader:target ~password:slot.password
-      ~rng:(Netsim.Sim.rng t.sim);
-  attach_member t slot;
+(* Run the handshake against [target], on a fresh member automaton
+   when [fresh]. *)
+let handshake t slot ~target ~fresh =
+  if fresh then begin
+    slot.target <- target;
+    slot.automaton <-
+      Member.create ~self:slot.m_name ~leader:target ~password:slot.password
+        ~rng:(Netsim.Sim.rng t.sim);
+    attach_member t slot
+  end;
   slot.active <- true;
   slot.retries <- 0;
   slot.failback_at <- None;
   slot.last_admin <- Netsim.Sim.now t.sim;
-  send_frames t ~src:slot.m_name (Member.join slot.automaton)
+  send t ~src:slot.m_name (Member.join slot.automaton)
+
+(* Tear down the current session (politely, so a live manager frees
+   its slot) and run a fresh handshake against [target]. *)
+let switch_to t slot ~target =
+  send t ~src:slot.m_name (Member.leave slot.automaton);
+  handshake t slot ~target ~fresh:true
 
 let join_slot t slot =
   match primary t with
   | None -> ()
   | Some target ->
-      if slot.target <> target || not (Member.is_connected slot.automaton)
-      then begin
-        slot.target <- target;
-        slot.automaton <-
-          Member.create ~self:slot.m_name ~leader:target
-            ~password:slot.password ~rng:(Netsim.Sim.rng t.sim);
-        attach_member t slot
-      end;
-      slot.active <- true;
-      slot.retries <- 0;
-      slot.failback_at <- None;
-      slot.last_admin <- Netsim.Sim.now t.sim;
-      send_frames t ~src:slot.m_name (Member.join slot.automaton)
+      handshake t slot ~target
+        ~fresh:
+          (slot.target <> target || not (Member.is_connected slot.automaton))
 
 let fail_over t slot =
   match succession_next t slot.target with
@@ -303,8 +285,7 @@ let start_failure_detector t slot =
           if Netsim.Vtime.(t.config.failure_timeout <= silence) then
             if slot.retries < t.config.retry_budget then begin
               slot.retries <- slot.retries + 1;
-              send_frames t ~src:slot.m_name
-                (Member.retransmit_join slot.automaton);
+              send t ~src:slot.m_name (Member.retransmit_join slot.automaton);
               slot.last_admin <- Netsim.Sim.now t.sim
             end
             else fail_over t slot
@@ -315,9 +296,9 @@ let start_failure_detector t slot =
 let start_heartbeat t mgr =
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.heartbeat_period (fun () ->
-        if not mgr.crashed then
-          send_frames t ~src:mgr.name
-            (Leader.broadcast_admin mgr.leader (Wire.Admin.Notice "hb")))
+        if not (crashed mgr) then
+          Manager.dispatch mgr.proc
+            (Leader.broadcast_admin (leader_of mgr) (Wire.Admin.Notice "hb")))
   in
   t.handles <- h :: t.handles
 
@@ -342,14 +323,13 @@ let start_manager_scan t mgr =
   let gc_after = Int64.mul 2L t.config.failure_timeout in
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.check_period (fun () ->
-        if not mgr.crashed then begin
+        if not (crashed mgr) then begin
+          let l = leader_of mgr in
           let now = Netsim.Sim.now t.sim in
           let outstanding =
-            List.map (fun who -> (who, Half_open)) (Leader.half_open mgr.leader)
-            @ List.map (fun who -> (who, Awaiting))
-                (Leader.awaiting_ack mgr.leader)
-            @ List.map (fun who -> (who, Recovering))
-                (Leader.recovering mgr.leader)
+            List.map (fun who -> (who, Half_open)) (Leader.half_open l)
+            @ List.map (fun who -> (who, Awaiting)) (Leader.awaiting_ack l)
+            @ List.map (fun who -> (who, Recovering)) (Leader.recovering l)
           in
           let live = List.map fst outstanding in
           Hashtbl.iter
@@ -358,7 +338,7 @@ let start_manager_scan t mgr =
             (Hashtbl.copy mgr.watches);
           List.iter
             (fun (who, kind) ->
-              match watch_nonce (Leader.session mgr.leader who) with
+              match watch_nonce (Leader.session l who) with
               | None -> Hashtbl.remove mgr.watches who
               | Some n -> (
                   match Hashtbl.find_opt mgr.watches who with
@@ -373,18 +353,13 @@ let start_manager_scan t mgr =
                            is accepted instead of rejected as
                            "in session". *)
                         (match kind with
-                        | Half_open ->
-                            ignore (Leader.abort_half_open mgr.leader who)
+                        | Half_open -> ignore (Leader.abort_half_open l who)
                         | Awaiting ->
-                            send_frames t ~src:mgr.name
-                              (Leader.expel mgr.leader who)
-                        | Recovering ->
-                            ignore (Leader.abort_recovery mgr.leader who));
+                            Manager.dispatch mgr.proc (Leader.expel l who)
+                        | Recovering -> ignore (Leader.abort_recovery l who));
                         Hashtbl.remove mgr.watches who
                       end
-                      else
-                        send_frames t ~src:mgr.name
-                          (Leader.retransmit mgr.leader who)
+                      else Manager.dispatch mgr.proc (Leader.retransmit l who)
                   | Some _ | None ->
                       Hashtbl.replace mgr.watches who
                         { w_nonce = n; first_seen = now }))
@@ -398,14 +373,14 @@ let start_manager_scan t mgr =
 let live_backups t mgr =
   Array.to_list t.managers
   |> List.filter_map (fun m ->
-         if m.name <> mgr.name && not m.crashed then Some m.name else None)
+         if name m <> name mgr && not (crashed m) then Some (name m) else None)
 
 let make_replica ?(term = 0) t mgr ~primary_name =
   mgr.replica <-
     Some
-      (Replication.Replica.create ~self:mgr.name ~primary:primary_name
+      (Replication.Replica.create ~self:(name mgr) ~primary:primary_name
          ~key:t.repl_key ~rng:(Netsim.Sim.rng t.sim)
-         ~disk:(Store.Mem.handle mgr.disk) ~term ~counters:t.counters ());
+         ?disk:(Manager.backend mgr.proc) ~term ~counters:t.counters ());
   mgr.repl_last <- Netsim.Sim.now t.sim
 
 (* Demotion: authentic evidence of a strictly higher term arrived at a
@@ -426,48 +401,50 @@ let demote t mgr ~term ~primary_name =
   | Some s ->
       t.counters.demotions <- t.counters.demotions + 1;
       Replication.Source.detach s;
-      (match mgr.journal with
+      (match Manager.journal mgr.proc with
       | Some j ->
           let keep =
             min (Replication.Source.acked_prefix s)
               (String.length (Journal.contents j))
           in
           ignore
-            (Journal.recover ~disk:(Store.Mem.handle mgr.disk) ~file:"journal"
+            (Journal.recover ?disk:(Manager.backend mgr.proc)
                (String.sub (Journal.contents j) 0 keep))
       | None -> ());
       mgr.source <- None;
-      mgr.journal <- None;
       (* Stop shipping suspicion: a demoted manager has no stream. *)
-      (match mgr.sentinel with
+      (match Manager.sentinel mgr.proc with
       | Some sn -> Sentinel.set_ship sn (fun _ -> ())
       | None -> ());
-      mgr.leader <-
-        Leader.create ~self:mgr.name ~rng:(Netsim.Sim.rng t.sim)
-          ~directory:t.directory ~vault:mgr.vault ?sentinel:mgr.sentinel ();
+      Manager.reopen mgr.proc ~primary:false;
       make_replica t mgr ~primary_name ~term;
       mgr.catching_up <- true
 
-let make_source t mgr ~term ~journal =
-  mgr.replica <- None;
-  mgr.catching_up <- false;
-  mgr.journal <- Some journal;
-  mgr.source <-
-    Some
-      (Replication.Source.create ~self:mgr.name ~backups:(live_backups t mgr)
-         ~term ~key:t.repl_key ~rng:(Netsim.Sim.rng t.sim)
-         ~send:(fun f -> send_frames t ~src:mgr.name [ f ])
-         ~journal
-         ~on_superseded:(fun ~term ~primary ->
-           demote t mgr ~term ~primary_name:primary)
-         ~counters:t.counters ())
+(* Start sourcing the stream at [term] from the manager's journal —
+   a primary incarnation always journals. *)
+let make_source t mgr ~term =
+  match Manager.journal mgr.proc with
+  | None -> invalid_arg "Failover.make_source: the primary has no journal"
+  | Some journal ->
+      mgr.replica <- None;
+      mgr.catching_up <- false;
+      mgr.source <-
+        Some
+          (Replication.Source.create ~self:(name mgr)
+             ~backups:(live_backups t mgr) ~term ~key:t.repl_key
+             ~rng:(Netsim.Sim.rng t.sim)
+             ~send:(fun f -> Manager.dispatch mgr.proc [ f ])
+             ~journal
+             ~on_superseded:(fun ~term ~primary ->
+               demote t mgr ~term ~primary_name:primary)
+             ~counters:t.counters ())
 
 (* Hook the primary's delivery layer into its replication source, so
    every durable queue mutation ships to the backups — and ship the
    current images once so the new term's stream covers backlogs that
    predate it. *)
-let wire_delivery _t mgr =
-  match (Leader.delivery mgr.leader, mgr.source) with
+let wire_delivery mgr =
+  match (Manager.delivery mgr.proc, mgr.source) with
   | Some d, Some s ->
       Delivery.set_ship d
         (Some
@@ -482,8 +459,8 @@ let wire_delivery _t mgr =
    suspicion escalation ships to the backups — and ship the current
    snapshot once so the new term's stream covers suspicion accrued
    before this manager started sourcing. *)
-let wire_sentinel _t mgr =
-  match (mgr.sentinel, mgr.source) with
+let wire_sentinel mgr =
+  match (Manager.sentinel mgr.proc, mgr.source) with
   | Some sn, Some s ->
       Sentinel.set_ship sn (fun blob ->
           Replication.Source.ship_suspicion s blob);
@@ -494,7 +471,7 @@ let start_repl_heartbeat t mgr =
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.repl_heartbeat_period
       (fun () ->
-        if not mgr.crashed then
+        if not (crashed mgr) then
           match mgr.source with
           | Some s -> Replication.Source.heartbeat s
           | None -> ())
@@ -503,40 +480,25 @@ let start_repl_heartbeat t mgr =
 
 (* Promote a backup whose replication channel has gone silent. The
    replica bytes are replayed exactly like a local journal surviving a
-   crash: a usable prefix yields a warm leader that challenges every
-   replicated session under its [K_a] (members keep their keys and
-   redirect to us), an unusable one yields a cold leader that beacons.
-   Either way this manager becomes the stream's source at the next
-   generation's term at its own rank (see {!term_of} — unique even
-   under concurrent promotions), so the remaining backups adopt the
-   succession from one frame. *)
+   crash ({!Manager.restart}): a usable prefix yields a warm leader
+   that challenges every replicated session under its [K_a] (members
+   keep their keys and redirect to us), an unusable one yields a cold
+   leader that distrusts the replica's sessions, keeps only the epoch
+   floor (journal belief plus vault) and beacons. The replicated queue
+   images carry the offline members' backlogs across the promotion;
+   they hold plaintext payloads re-sealed at fire time, so they are
+   safe to keep even on a cold promotion. Either way this manager
+   becomes the stream's source at the next generation's term at its
+   own rank (see {!term_of} — unique even under concurrent
+   promotions), so the remaining backups adopt the succession from one
+   frame. *)
 let promote t mgr =
   match mgr.replica with
   | None -> ()
   | Some r ->
-      let bytes = Replication.Replica.contents r in
       let term =
         promotion_term ~n:(Array.length t.managers) ~idx:mgr.idx
           ~seen:(Replication.Replica.term r)
-      in
-      let backend = Store.Mem.handle mgr.disk in
-      let rng = Netsim.Sim.rng t.sim in
-      let journal, state, _status =
-        Journal.recover ~disk:backend ~file:"journal" bytes
-      in
-      (* The replicated queue images carry the offline members' backlogs
-         across the promotion: the successor's delivery layer is rebuilt
-         from them (replay is total, torn images cost at most a damaged
-         suffix) and keeps draining without member re-handshakes. The
-         queues hold plaintext payloads re-sealed at fire time, so they
-         are safe to keep even on a cold promotion that distrusts the
-         replica's sessions. *)
-      let delivery =
-        Option.map
-          (fun policy ->
-            Delivery.of_images ~policy ~disk:backend
-              (Replication.Replica.queue_images r))
-          t.delivery_policy
       in
       (* Merge the replicated suspicion snapshot before the successor
          serves anyone: levels ratchet, so a suspect the dead primary
@@ -544,40 +506,25 @@ let promote t mgr =
          by crashing the leader. The successor's first containment
          sweep re-announces and re-rekeys, which is what a group under
          new management should do anyway. *)
-      (match (mgr.sentinel, Replication.Replica.suspicion r) with
+      (match (Manager.sentinel mgr.proc, Replication.Replica.suspicion r) with
       | Some sn, Some blob -> ignore (Sentinel.import sn blob)
       | _ -> ());
-      let warm =
-        t.config.warm_failover && state.Journal.sessions <> []
+      let restart =
+        Manager.restart mgr.proc
+          ~journal_image:(Replication.Replica.contents r)
+          ~queue_images:(Replication.Replica.queue_images r)
+          ~warm:(fun state ->
+            t.config.warm_failover && state.Journal.sessions <> [])
       in
-      if warm then begin
-        t.counters.warm_promotions <- t.counters.warm_promotions + 1;
-        let leader', challenges =
-          Leader.recover ~self:mgr.name ~rng ~directory:t.directory ~journal
-            ~vault:mgr.vault ?delivery ?sentinel:mgr.sentinel ~state ()
-        in
-        mgr.leader <- leader';
-        make_source t mgr ~term ~journal;
-        wire_delivery t mgr;
-        wire_sentinel t mgr;
-        send_frames t ~src:mgr.name challenges
-      end
-      else begin
-        t.counters.cold_promotions <- t.counters.cold_promotions + 1;
-        (* Distrust the replica's sessions: restart from an empty
-           journal, keeping only the epoch floor (journal belief plus
-           vault) for the beacons. *)
-        let journal = Journal.create ~disk:backend ~file:"journal" () in
-        let leader', beacons =
-          Leader.cold_recover ~self:mgr.name ~rng ~directory:t.directory
-            ~journal ~vault:mgr.vault ?delivery ?sentinel:mgr.sentinel ~state ()
-        in
-        mgr.leader <- leader';
-        make_source t mgr ~term ~journal;
-        wire_delivery t mgr;
-        wire_sentinel t mgr;
-        send_frames t ~src:mgr.name beacons
-      end
+      (match restart.Manager.path with
+      | Manager.Warm ->
+          t.counters.warm_promotions <- t.counters.warm_promotions + 1
+      | Manager.Cold | Manager.Fresh ->
+          t.counters.cold_promotions <- t.counters.cold_promotions + 1);
+      make_source t mgr ~term;
+      wire_delivery mgr;
+      wire_sentinel mgr;
+      Manager.dispatch mgr.proc restart.Manager.frames
 
 (* Backup-side promotion watchdog. Silence thresholds are staggered by
    succession position — the first backup waits one failure timeout,
@@ -590,7 +537,7 @@ let start_promotion_watchdog t mgr =
   in
   let h =
     Netsim.Sim.every_handle t.sim ~period:t.config.check_period (fun () ->
-        if not mgr.crashed then
+        if not (crashed mgr) then
           match mgr.replica with
           | None -> ()
           | Some r ->
@@ -620,28 +567,16 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
   let counters = Replication.fresh_counters () in
   let repl_key = Key.fresh Key.Long_term rng in
   let mk_manager idx name =
-    let disk = Store.Mem.create () in
-    let vault = Store.Vault.create ~disk:(Store.Mem.handle disk) () in
-    let sentinel =
-      Option.map
-        (fun config ->
-          Sentinel.create ~config ~clock:(fun () -> Netsim.Sim.now sim) ())
-        intrusion
-    in
     {
-      name;
+      proc =
+        Manager.create ~sim ~net ~name ~directory ~disk:true ?delivery
+          ?intrusion ~primary:false ();
       idx;
-      disk;
-      vault;
-      leader = Leader.create ~self:name ~rng ~directory ~vault ?sentinel ();
-      journal = None;
       source = None;
       replica = None;
       repl_last = Netsim.Vtime.zero;
-      crashed = false;
       catching_up = false;
       watches = Hashtbl.create 8;
-      sentinel;
     }
   in
   let managers = Array.of_list (List.mapi mk_manager managers) in
@@ -652,7 +587,6 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
       net;
       config;
       directory;
-      delivery_policy = delivery;
       repl_key;
       counters;
       managers;
@@ -670,28 +604,18 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
   (* The initial primary journals through its own disk and ships the
      stream; every other manager follows as a replica. *)
   let m0 = t.managers.(0) in
-  let journal =
-    Journal.create ~disk:(Store.Mem.handle m0.disk) ~file:"journal" ()
-  in
-  let delivery0 =
-    Option.map
-      (fun policy ->
-        Delivery.create ~policy ~disk:(Store.Mem.handle m0.disk) ())
-      t.delivery_policy
-  in
-  m0.leader <-
-    Leader.create ~self:m0.name ~rng ~directory ~journal ~vault:m0.vault
-      ?delivery:delivery0 ?sentinel:m0.sentinel ();
+  Manager.reopen m0.proc ~primary:true;
   let n = Array.length t.managers in
   let term0 = term_of ~n ~generation:1 ~idx:0 in
-  make_source t m0 ~term:term0 ~journal;
-  wire_delivery t m0;
-  wire_sentinel t m0;
+  make_source t m0 ~term:term0;
+  wire_delivery m0;
+  wire_sentinel m0;
   (* Backups start with the initial term as their stale floor, so
      every term any manager ever mints is generation-consistent. *)
   Array.iter
     (fun mgr ->
-      if mgr.idx > 0 then make_replica t mgr ~primary_name:m0.name ~term:term0)
+      if mgr.idx > 0 then
+        make_replica t mgr ~primary_name:(name m0) ~term:term0)
     t.managers;
   List.iter
     (fun (m_name, password) ->
@@ -700,9 +624,8 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
           m_name;
           password;
           automaton =
-            Member.create ~self:m_name ~leader:t.managers.(0).name ~password
-              ~rng;
-          target = t.managers.(0).name;
+            Member.create ~self:m_name ~leader:(name m0) ~password ~rng;
+          target = name m0;
           active = false;
           last_admin = Netsim.Vtime.zero;
           retries = 0;
@@ -721,42 +644,27 @@ let stop t =
   List.iter Netsim.Sim.cancel t.handles;
   t.handles <- []
 
-let join t who =
-  match Hashtbl.find_opt t.members who with
-  | Some slot -> join_slot t slot
+let join t who = join_slot t (Hashtbl.find t.members who)
+let member t who = (Hashtbl.find t.members who).automaton
+
+let find_manager t who =
+  match Array.find_opt (fun mgr -> name mgr = who) t.managers with
+  | Some mgr -> mgr
   | None -> raise Not_found
 
-let member t who =
-  match Hashtbl.find_opt t.members who with
-  | Some slot -> slot.automaton
-  | None -> raise Not_found
-
-let leader t name =
-  let found = ref None in
-  Array.iter (fun mgr -> if mgr.name = name then found := Some mgr.leader) t.managers;
-  match !found with Some l -> l | None -> raise Not_found
+let leader t who = leader_of (find_manager t who)
 
 let send_app t who body =
-  match Hashtbl.find_opt t.members who with
-  | Some slot -> send_frames t ~src:who (Member.send_app slot.automaton body)
-  | None -> raise Not_found
-
-let crash_manager t mgr =
-  mgr.crashed <- true;
-  (match mgr.source with
-  | Some s ->
-      Replication.Source.detach s;
-      mgr.source <- None
-  | None -> ());
-  Netsim.Network.unregister t.net mgr.name
+  send t ~src:who (Member.send_app (member t who) body)
 
 let crash_primary t =
   match primary t with
   | None -> ()
-  | Some name ->
-      Array.iter
-        (fun mgr -> if mgr.name = name then crash_manager t mgr)
-        t.managers
+  | Some who ->
+      let mgr = find_manager t who in
+      Manager.crash mgr.proc;
+      Option.iter Replication.Source.detach mgr.source;
+      mgr.source <- None
 
 let crash_primary_at t time =
   Netsim.Sim.schedule_at t.sim ~time (fun () -> crash_primary t)
@@ -768,13 +676,13 @@ let manager_of t who =
 
 let connected_members t =
   Hashtbl.fold
-    (fun name slot acc ->
+    (fun who slot acc ->
       let target_live =
         Array.exists
-          (fun mgr -> mgr.name = slot.target && not mgr.crashed)
+          (fun mgr -> name mgr = slot.target && not (crashed mgr))
           t.managers
       in
-      if Member.is_connected slot.automaton && target_live then name :: acc
+      if Member.is_connected slot.automaton && target_live then who :: acc
       else acc)
     t.members []
   |> List.sort String.compare
@@ -788,14 +696,9 @@ type role =
   | Backup of { term : int; catching_up : bool }
   | Down
 
-let find_manager t name =
-  let found = ref None in
-  Array.iter (fun mgr -> if mgr.name = name then found := Some mgr) t.managers;
-  match !found with Some mgr -> mgr | None -> raise Not_found
-
-let role t name =
-  let mgr = find_manager t name in
-  if mgr.crashed then Down
+let role t who =
+  let mgr = find_manager t who in
+  if crashed mgr then Down
   else
     match (mgr.source, mgr.replica) with
     | Some s, _ -> Primary { term = Replication.Source.term s }
@@ -814,84 +717,60 @@ let role t name =
 let with_primary t f =
   match primary t with
   | None -> ()
-  | Some name ->
-      let mgr = find_manager t name in
-      send_frames t ~src:mgr.name (f mgr.leader)
+  | Some who ->
+      let mgr = find_manager t who in
+      Manager.dispatch mgr.proc (f (leader_of mgr))
 
 let expel t who = with_primary t (fun l -> Leader.expel l who)
 let rekey t = with_primary t (fun l -> Leader.rekey l)
 
-let replica_bytes t name =
-  match (find_manager t name).replica with
-  | Some r -> Some (Replication.Replica.contents r)
-  | None -> None
+let replica_bytes t who =
+  Option.map Replication.Replica.contents (find_manager t who).replica
 
-let journal_bytes t name =
-  match (find_manager t name).journal with
-  | Some j -> Some (Journal.contents j)
-  | None -> None
+let journal_bytes t who =
+  Option.map Journal.contents (Manager.journal (find_manager t who).proc)
 
-let sentinel t name = (find_manager t name).sentinel
+let sentinel t who = Manager.sentinel (find_manager t who).proc
 
-let replica_suspicion t name =
-  match (find_manager t name).replica with
-  | Some r -> Replication.Replica.suspicion r
-  | None -> None
+let replica_suspicion t who =
+  Option.bind (find_manager t who).replica Replication.Replica.suspicion
 
 let replication_stats t = Replication.snapshot_counters t.counters
 
-(* The live primary's store-and-forward counters (fresh counters start
-   with each promotion's rebuilt layer), plus the members' cumulative
-   dedup counts — those survive promotions because the delivery floor
-   lives at the member. *)
+(* The live primary's store-and-forward counters, plus the members'
+   cumulative dedup counts — those survive promotions because the
+   delivery floor lives at the member. *)
 let delivery_stats t =
-  let base = ref None in
+  let base = ref Netsim.Stats.empty_delivery in
   Array.iter
     (fun mgr ->
-      if (not mgr.crashed) && mgr.source <> None then
-        match Leader.delivery mgr.leader with
-        | Some d -> base := Some (Delivery.counters d)
-        | None -> ())
+      if (not (crashed mgr)) && mgr.source <> None then
+        base := (Manager.counters mgr.proc).Manager.delivery)
     t.managers;
   let deduped =
     Hashtbl.fold
       (fun _ slot acc -> acc + Member.deliveries_deduped slot.automaton)
       t.members 0
   in
-  match !base with
-  | None -> { Netsim.Stats.empty_delivery with deduped }
-  | Some c ->
-      {
-        Netsim.Stats.queued = c.Delivery.queued;
-        drained = c.Delivery.drained;
-        deduped;
-        resealed = c.Delivery.resealed;
-        rejected_stale = c.Delivery.rejected_stale;
-        delivered_stale = c.Delivery.delivered_stale;
-        queue_bytes_hwm = c.Delivery.queue_bytes_hwm;
-      }
+  { !base with Netsim.Stats.deduped }
 
-let replica_queue_images t name =
-  match (find_manager t name).replica with
+let replica_queue_images t who =
+  match (find_manager t who).replica with
   | Some r -> Replication.Replica.queue_images r
   | None -> []
 
 let replication_lag t =
-  let found = ref [] in
-  Array.iter
-    (fun mgr ->
-      match mgr.source with
-      | Some s -> found := Replication.Source.lag s
-      | None -> ())
-    t.managers;
-  !found
+  Array.fold_left
+    (fun lag mgr ->
+      match mgr.source with Some s -> Replication.Source.lag s | None -> lag)
+    [] t.managers
 
 let replication_silence t =
   Array.to_list t.managers
   |> List.filter_map (fun mgr ->
          match mgr.replica with
-         | Some _ when not mgr.crashed ->
-             Some (mgr.name, Int64.sub (Netsim.Sim.now t.sim) mgr.repl_last)
+         | Some _ when not (crashed mgr) ->
+             Some (name mgr, Int64.sub (Netsim.Sim.now t.sim) mgr.repl_last)
          | Some _ | None -> None)
 
 let run ?until t = Netsim.Sim.run ?until t.sim

@@ -108,9 +108,12 @@
     replayed or stale-term replication traffic is counted and dropped
     without moving any replica (see {!Replication}).
 
-    The whole mechanism lives above {!Member}/{!Leader}: managers are
-    ordinary leaders, members are ordinary members plus a timeout
-    policy driven by the simulation clock. *)
+    The whole mechanism lives above {!Member}/{!Leader}: each manager
+    is one {!Manager} process (disk, vault, sentinel and its leader
+    incarnation, which a promotion rebuilds through {!Manager.restart}
+    exactly as a crashed single leader is restarted), and members are
+    ordinary members plus a timeout policy driven by the simulation
+    clock. *)
 
 type t
 
@@ -280,10 +283,12 @@ val replication_stats : t -> Netsim.Stats.replication
     and warm vs cold promotions. *)
 
 val delivery_stats : t -> Netsim.Stats.delivery
-(** The live primary's store-and-forward counters (each promotion's
-    rebuilt layer starts fresh) plus the members' cumulative dedup
-    counts, which survive promotions because the delivery floor lives
-    at the member. All zeros when no delivery policy was given. *)
+(** The live primary's store-and-forward counters, summed over that
+    manager's own incarnations ({!Manager.counters}: a backup runs no
+    delivery layer, so this counts from its promotion unless it was
+    primary before), plus the members' cumulative dedup counts, which
+    survive promotions because the delivery floor lives at the member.
+    All zeros when no delivery policy was given. *)
 
 val replica_queue_images : t -> Types.agent -> (string * string) list
 (** A backup's mirrored delivery-queue images (empty for a source or a

@@ -200,7 +200,7 @@ let with_retry t f =
   go 0
 
 (* Full-image publish: stage, fsync, atomic rename. Used whenever the
-   on-disk bytes are replaced rather than extended (create, reset,
+   on-disk bytes are replaced rather than extended (create,
    compaction). The staging file is removed first so a stale longer
    tmp can never leak a garbage tail past the rename. *)
 let disk_publish t =
@@ -258,7 +258,6 @@ let notify t ev = match t.observer with None -> () | Some f -> f ev
 
 let state t = t.st
 let records t = t.nrecords
-let size t = Buffer.length t.buf
 let contents t = Buffer.contents t.buf
 let eio_retries t = t.eio_retries
 let file t = t.file
@@ -286,16 +285,6 @@ let rewrite_as_snapshot t =
   notify t (Published (Buffer.contents t.buf))
 
 let compact t = rewrite_as_snapshot t
-
-let reset t =
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf (header ());
-  t.st <- empty_state;
-  t.nrecords <- 0;
-  t.next_seq <- 0;
-  t.since_snapshot <- 0;
-  disk_publish t;
-  notify t (Published (Buffer.contents t.buf))
 
 let append t record =
   let off = Buffer.length t.buf in
@@ -358,13 +347,16 @@ let replay ?(mac_key = default_mac_key) bytes =
     else (recs, Damaged { valid_records = List.length recs; valid_bytes = !valid_bytes })
   end
 
-let recover ?(mac_key = default_mac_key) ?compact_every ?disk ?file bytes =
-  let records, status = replay ~mac_key bytes in
-  let st = state_of_records records in
+let of_state ?(mac_key = default_mac_key) ?compact_every ?disk ?file st =
   let t = create ~mac_key ?compact_every ?disk ?file () in
   t.st <- st;
   rewrite_as_snapshot t;
-  (t, st, status)
+  t
+
+let recover ?(mac_key = default_mac_key) ?compact_every ?disk ?file bytes =
+  let records, status = replay ~mac_key bytes in
+  let st = state_of_records records in
+  (of_state ~mac_key ?compact_every ?disk ?file st, st, status)
 
 let load ?mac_key ?compact_every ?(file = "journal") ~disk () =
   let bytes = Option.value ~default:"" (Store.Backend.read disk ~file) in

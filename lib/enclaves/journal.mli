@@ -85,7 +85,7 @@ val create :
     With [disk], every mutation is mirrored through the store backend
     to [file] (default ["journal"]) before returning: appends are an
     incremental [pwrite] at the record's offset followed by [fsync];
-    anything that replaces the image (creation, {!reset}, compaction)
+    anything that replaces the image (creation, compaction)
     stages the full bytes in [file ^ ".tmp"], fsyncs, then atomically
     renames over [file]. Transient [Store.Backend.Eio] is retried a
     bounded number of times (see {!eio_retries});
@@ -100,19 +100,12 @@ val compact : t -> unit
 (** Rewrite the journal as one [Snapshot] of the current folded
     state. *)
 
-val reset : t -> unit
-(** Erase everything — the cold-restart path, where no journalled
-    state is trusted. *)
-
 val state : t -> state
 (** The folded state of every record appended so far (maintained
     incrementally; O(1)). *)
 
 val records : t -> int
 (** Records currently in the buffer (snapshot included). *)
-
-val size : t -> int
-(** Buffer size in bytes. *)
 
 val contents : t -> string
 (** The raw journal bytes — with a [disk] backend, byte-identical to
@@ -129,7 +122,7 @@ type event =
       (** One framed record (len + payload + checksum) was appended;
           the argument is exactly the bytes that extended the image. *)
   | Published of string
-      (** The whole image was replaced (compaction or {!reset}); the
+      (** The whole image was replaced (a compaction); the
           argument is the complete new journal bytes. *)
 
 val set_observer : t -> (event -> unit) option -> unit
@@ -156,6 +149,16 @@ val replay : ?mac_key:string -> string -> record list * status
 val state_of_records : record list -> state
 (** Fold records into the state they describe. A [Snapshot] replaces
     the accumulated state; establishment/close/bump update it. *)
+
+val of_state :
+  ?mac_key:string ->
+  ?compact_every:int ->
+  ?disk:Store.Backend.t ->
+  ?file:string ->
+  state ->
+  t
+(** A fresh journal compacted to a snapshot of [state] — {!recover}
+    once the state is known. *)
 
 val recover :
   ?mac_key:string ->

@@ -106,7 +106,6 @@ type t = {
      challenges); [cold_nb] holds the fresh nonce each beacon carried. *)
   mutable beacon_epoch : int option;
   cold_nb : (Types.agent, Wire.Nonce.t) Hashtbl.t;
-  mutable cold_acks : int;
   (* Store-and-forward: members currently marked offline (evicted as
      silent or known-partitioned) have broadcast traffic journalled in
      [delivery] instead of dropped. *)
@@ -158,7 +157,6 @@ let create_with_keys ~self ~rng ~directory ?(policy = default_policy) ?journal
     resyncs = 0;
     beacon_epoch = None;
     cold_nb = Hashtbl.create 8;
-    cold_acks = 0;
     delivery;
     offline = Hashtbl.create 8;
     sentinel;
@@ -577,12 +575,6 @@ let expel t who =
 
 let sentinel t = t.sentinel
 
-let contained_members t =
-  Hashtbl.fold (fun who () acc -> who :: acc) t.contained_done []
-  |> List.sort String.compare
-
-let is_contained t who = Hashtbl.mem t.contained_done who
-
 (* Containment for one suspect the sentinel escalated to quarantine:
    tear its session down (a half-open or recovering handshake is
    discarded quietly — it never was a member), purge its delivery
@@ -977,10 +969,6 @@ let handle_app_data t (frame : F.t) =
 let view_digest t =
   Wire.Admin.view_digest ~members:(members t) ~epoch:(current_epoch t)
 
-let broadcast_view_digest t =
-  broadcast_admin t
-    (Wire.Admin.View_digest { digest = view_digest t; epoch = current_epoch t })
-
 (* A member reported its own (digest, epoch). On mismatch, repair with
    the current group key, the full membership, and a fresh digest; on
    match, answer with the digest alone so a probing member learns the
@@ -1080,9 +1068,6 @@ let recover ~self ~rng ~directory ?policy ~journal ?vault ?delivery ?sentinel
 
 (* --- cold-restart beacons --- *)
 
-let cold_beacon_epoch t = t.beacon_epoch
-let cold_acks t = t.cold_acks
-
 (* A leader that lost its sessions (journal destroyed or distrusted)
    still remembers, via the journal's surviving prefix, which epoch
    the group had reached. Instead of sitting silent until every
@@ -1168,7 +1153,6 @@ let handle_cold_restart_challenge t (frame : F.t) =
                     else
                       match Hashtbl.find_opt t.cold_nb claimed with
                       | Some nb when Wire.Nonce.equal echo nb ->
-                          t.cold_acks <- t.cold_acks + 1;
                           emit t (Cold_restart_acked claimed);
                           let plaintext =
                             P.encode_cold_restart_ack

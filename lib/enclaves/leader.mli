@@ -201,12 +201,6 @@ val cold_recover :
     waiting out their anti-entropy watchdog. Only the incarnation
     created by this call answers those challenges. *)
 
-val cold_beacon_epoch : t -> int option
-(** [Some epoch] iff this incarnation was built by {!cold_recover}. *)
-
-val cold_acks : t -> int
-(** Beacon challenges answered (members told to rejoin). *)
-
 val self : t -> Types.agent
 val receive : t -> ?via:Netsim.Trace.via -> string -> Wire.Frame.t list
 (** Dispatch one raw inbound frame. [via] is the transport-vouched
@@ -291,11 +285,6 @@ val containment_sweep : t -> Wire.Frame.t list
     that comes back attests the member is the genuine key holder and
     wipes its off-path (framed) score. *)
 
-val contained_members : t -> Types.agent list
-(** Suspects this leader has contained (sorted). *)
-
-val is_contained : t -> Types.agent -> bool
-
 val retransmit : t -> Types.agent -> Wire.Frame.t list
 (** The stored outstanding frame for this member, byte-identical to
     its first transmission: the [AuthKeyDist] when
@@ -324,9 +313,6 @@ val abort_recovery : t -> Types.agent -> bool
 val view_digest : t -> string
 (** {!Wire.Admin.view_digest} of the current member list and key
     epoch. *)
-
-val broadcast_view_digest : t -> Wire.Frame.t list
-(** Queue a [View_digest] anti-entropy beacon for every member. *)
 
 val recoveries : t -> int
 (** Sessions recovered warm (challenges answered) since creation. *)

@@ -448,9 +448,6 @@ let note_emergency_rekey t =
 let note_queue_purged t =
   t.counters.queues_purged <- t.counters.queues_purged + 1
 
-let note_queue_dropped t =
-  t.counters.preauth_queue_dropped <- t.counters.preauth_queue_dropped + 1
-
 let suspects t =
   Hashtbl.fold
     (fun name p acc ->

@@ -227,9 +227,6 @@ val note_quarantined_drop : t -> ?via:Netsim.Trace.via -> string -> unit
 val note_emergency_rekey : t -> unit
 val note_queue_purged : t -> unit
 
-val note_queue_dropped : t -> unit
-(** A pre-auth frame lost to the bounded service queue's tail. *)
-
 val set_ship : t -> (string -> unit) -> unit
 (** Hook fired with {!export}'s blob on every level escalation; the
     failover plane wires it to [Replication.Source.ship_suspicion]. *)

@@ -166,7 +166,7 @@ let test_detects_stale_rekey () =
 
 let faultplan_run ~seed ~plan =
   let d =
-    D.create ~seed ~retry:D.default_retry ~leader:"leader" ~directory ()
+    D.create ~seed ~retry:true ~leader:"leader" ~directory ()
   in
   Netsim.Network.set_faultplan (D.net d) (Some plan);
   List.iter (fun (n, _) -> D.join d n) directory;
@@ -272,7 +272,7 @@ let test_campaign_trace_audits_flood_and_quarantine () =
     [ ("alice", "pw-a"); ("bob", "pw-b"); ("mallory", "pw-m") ]
   in
   let d =
-    D.create ~seed:23L ~retry:D.default_retry ~preauth:D.default_preauth
+    D.create ~seed:23L ~retry:true ~preauth:true
       ~intrusion:Sentinel.default_config ~leader:"leader" ~directory ()
   in
   List.iter (fun (n, _) -> D.join d n) directory;

@@ -26,8 +26,7 @@ let bound = Netsim.Vtime.of_s 30
 (* Build a cluster with a fault plan installed, join everyone, run to
    the bound, and report convergence. *)
 let run_once ?(bound = bound) ~seed ~plan ~retry () =
-  let retry = if retry then Some D.default_retry else None in
-  let d = D.create ~seed ?retry ~leader:"leader" ~directory () in
+  let d = D.create ~seed ~retry ~leader:"leader" ~directory () in
   Netsim.Network.set_faultplan (D.net d) (Some plan);
   List.iter (fun (n, _) -> D.join d n) directory;
   ignore (D.run ~until:bound d);

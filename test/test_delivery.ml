@@ -175,7 +175,7 @@ let churn_driver ?(seed = 7L) ?(members = 4) ?(policy = Delivery.default_policy)
     () =
   let dir = directory members in
   let d =
-    D.create ~seed ~retry:D.default_retry ~recovery:quick_recovery
+    D.create ~seed ~retry:true ~recovery:quick_recovery
       ~delivery:policy ~leader:"leader" ~directory:dir ()
   in
   List.iter (fun (n, _) -> D.join d n) dir;
@@ -376,7 +376,7 @@ let qcheck_tests =
         let members = 4 in
         let dir = directory members in
         let d =
-          D.create ~seed:(Int64.of_int seed) ~retry:D.default_retry
+          D.create ~seed:(Int64.of_int seed) ~retry:true
             ~recovery:quick_recovery
             ~delivery:{ Delivery.width = 1; on_stale = Delivery.Reject }
             ~leader:"leader" ~directory:dir ()

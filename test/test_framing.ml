@@ -250,7 +250,7 @@ let framing_run arm seed =
         (n, n ^ "-pw"))
   in
   let d =
-    D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
+    D.create ~seed ~retry:true ~preauth:true
       ~intrusion:S.default_config ~leader:"leader" ~directory ()
   in
   List.iter (fun (n, _) -> D.join d n) directory;

@@ -172,7 +172,7 @@ module D = Driver.Improved
 let live_run ~seed ~mutate =
   let dir3 = [ ("alice", "pw-a"); ("bob", "pw-b"); ("carol", "pw-c") ] in
   let d =
-    D.create ~seed ~retry:D.default_retry ~leader:"leader" ~directory:dir3 ()
+    D.create ~seed ~retry:true ~leader:"leader" ~directory:dir3 ()
   in
   let arng = Prng.Splitmix.create (Int64.add seed 7919L) in
   Netsim.Network.set_adversary (D.net d)
@@ -267,8 +267,8 @@ let qcheck_tests =
             [ ("alice", "pw-a"); ("bob", "pw-b"); ("mallory", "pw-m") ]
           in
           let d =
-            D.create ~seed:(Int64.of_int seed) ~retry:D.default_retry
-              ~preauth:D.default_preauth
+            D.create ~seed:(Int64.of_int seed) ~retry:true
+              ~preauth:true
               ~intrusion:Enclaves.Sentinel.default_config ~leader:"leader"
               ~directory:dir ()
           in

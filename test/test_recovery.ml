@@ -18,7 +18,7 @@ let n_members = List.length directory
 
 let make ?(seed = 7L) ?(recovery = D.default_recovery) ?plan () =
   let d =
-    D.create ~seed ~retry:D.default_retry ~recovery ~leader:"leader"
+    D.create ~seed ~retry:true ~recovery ~leader:"leader"
       ~directory ()
   in
   (match plan with
@@ -372,13 +372,42 @@ let test_replayed_beacon_does_not_reset_live_session () =
 let test_no_recovery_layer_unchanged () =
   (* Without [~recovery] the driver must not journal, beacon, or
      watchdog: PR-2 behaviour exactly. *)
-  let d = D.create ~seed:5L ~retry:D.default_retry ~leader:"leader" ~directory () in
+  let d = D.create ~seed:5L ~retry:true ~leader:"leader" ~directory () in
   List.iter (fun (n, _) -> D.join d n) directory;
   ignore (D.run ~until:(Netsim.Vtime.of_s 10) d);
   Alcotest.(check bool) "no journal" true (D.journal_bytes d = None);
   Alcotest.(check int) "no beacons"
     0 (D.recovery_stats d).D.digests_broadcast;
   Alcotest.(check bool) "converged" true (D.converged d)
+
+(* A second warm restart inside one challenge scan period must leave
+   one retransmission scan, not two: each scan serves the leader
+   incarnation that issued its challenges. carol is detached from the
+   network, so her challenge is never answered and is retransmitted
+   every scan until the challenge timeout. *)
+let test_back_to_back_restarts_one_scan () =
+  let directory = [ ("alice", "pw-a"); ("bob", "pw-b"); ("carol", "pw-c") ] in
+  let retransmits ~restart_at =
+    let d =
+      D.create ~seed:7L ~retry:true ~recovery:D.default_recovery
+        ~leader:"leader" ~directory ()
+    in
+    List.iter (fun (n, _) -> D.join d n) directory;
+    ignore (D.run ~until:(Netsim.Vtime.of_s 2) d);
+    Netsim.Network.unregister (D.net d) "carol";
+    List.iter
+      (fun at ->
+        ignore (D.run ~until:at d);
+        D.crash_leader d;
+        ignore (D.restart_leader d))
+      restart_at;
+    ignore (D.run ~until:(Netsim.Vtime.of_s 6) d);
+    (D.recovery_stats d).D.challenge_retransmits
+  in
+  let once = retransmits ~restart_at:[ Netsim.Vtime.of_s 2 ] in
+  Alcotest.(check bool) "carol's challenge is retransmitted" true (once > 0);
+  Alcotest.(check int) "a restart 100 ms later leaves one scan" once
+    (retransmits ~restart_at:[ Netsim.Vtime.of_s 2; Netsim.Vtime.of_ms 2100 ])
 
 let suite =
   [
@@ -398,5 +427,7 @@ let suite =
           ("replayed beacon cannot reset a live session",
            test_replayed_beacon_does_not_reset_live_session);
           ("recovery off: PR-2 behaviour", test_no_recovery_layer_unchanged);
+          ("back-to-back warm restarts: one challenge scan",
+           test_back_to_back_restarts_one_scan);
         ] );
   ]

@@ -568,7 +568,7 @@ let test_vault_saves_beacon_epoch () =
   let module D = Driver.Improved in
   let directory = [ ("alice", "pw-a"); ("bob", "pw-b"); ("carol", "pw-c") ] in
   let d =
-    D.create ~seed:31L ~leader:"leader" ~directory ~retry:D.default_retry
+    D.create ~seed:31L ~leader:"leader" ~directory ~retry:true
       ~recovery:D.default_recovery ()
   in
   List.iter (fun (n, _) -> D.join d n) directory;

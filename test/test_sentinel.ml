@@ -166,7 +166,7 @@ let directory = [ ("alice", "pw-a"); ("bob", "pw-b"); ("mallory", "pw-m") ]
 
 let test_driver_quarantines_forging_insider () =
   let d =
-    D.create ~seed:41L ~retry:D.default_retry ~preauth:D.default_preauth
+    D.create ~seed:41L ~retry:true ~preauth:true
       ~intrusion:cfg ~leader:"leader" ~directory ()
   in
   List.iter (fun (n, _) -> D.join d n) directory;
@@ -200,7 +200,7 @@ let test_post_rekey_unreadable_under_harvested_keys () =
      material: an eavesdropper holding every key mallory ever
      harvested reads nothing sent after containment. *)
   let d =
-    D.create ~seed:43L ~retry:D.default_retry ~preauth:D.default_preauth
+    D.create ~seed:43L ~retry:true ~preauth:true
       ~intrusion:cfg ~leader:"leader" ~directory ()
   in
   List.iter (fun (n, _) -> D.join d n) directory;
@@ -285,7 +285,7 @@ let test_no_false_positive_quarantine_under_chaos () =
   List.iter
     (fun seed ->
       let d =
-        D.create ~seed ~retry:D.default_retry ~preauth:D.default_preauth
+        D.create ~seed ~retry:true ~preauth:true
           ~intrusion:cfg ~leader:"leader" ~directory ()
       in
       let plan =
