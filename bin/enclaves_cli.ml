@@ -26,6 +26,7 @@
 
 open Cmdliner
 module D = Enclaves.Driver.Improved
+module DC = D.Counter
 module S = Enclaves.Sentinel
 module Json = Scenario.Json
 
@@ -400,26 +401,26 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
           (Netsim.Trace.entries (Netsim.Network.trace (D.net d)))
       else bound
     in
-    let r = D.retry_stats d in
+    let row = Metrics.row (D.counters d) in
+    let rtx = Metrics.find (D.counters d) in
     Printf.bprintf b
       "seed=%-3Ld %-9s t=%8.3fs  rtx: hs=%-3d keydist=%-3d admin=%-3d gc=%d \
        resets=%d\n"
       seed
       (if converged then "CONVERGED" else "WEDGED")
       (Int64.to_float join_time /. 1e6)
-      r.D.handshake_retransmits r.D.keydist_retransmits r.D.admin_retransmits
-      r.D.half_open_gcs r.D.session_resets;
+      (rtx DC.handshake_retransmits) (rtx DC.keydist_retransmits)
+      (rtx DC.admin_retransmits) (rtx DC.half_open_gcs)
+      (rtx DC.session_resets);
     if crashing then begin
-      ff b "         recovery: %a@." Netsim.Stats.pp_named
-        (D.recovery_counters d);
-      ff b "         storage:  %a@." Netsim.Stats.pp_named
-        (D.storage_counters d)
+      ff b "         recovery: %a@." Metrics.pp (row D.recovery_row);
+      ff b "         storage:  %a@." Metrics.pp (row D.storage_row)
     end;
     if verbose then begin
       let stats = Netsim.Stats.compute (Netsim.Network.trace (D.net d)) in
-      ff b "         retry: %a@." Netsim.Stats.pp_named (D.retry_counters d);
-      ff b "         faults: %a@." Netsim.Faultplan.pp_counters
-        (Netsim.Network.fault_counters (D.net d));
+      ff b "         retry: %a@." Metrics.pp (row D.retry_row);
+      ff b "         faults: %a@." Metrics.pp
+        (Metrics.named (Netsim.Network.fault_counters (D.net d)));
       Printf.bprintf b "         drops: total=%d adv=%d unreg=%d fault=%d\n"
         stats.Netsim.Stats.dropped stats.Netsim.Stats.dropped_by_adversary
         stats.Netsim.Stats.dropped_unregistered
@@ -432,13 +433,13 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
            ("seed", Json.Int (Int64.to_int seed));
            ("converged", Json.Bool converged);
            ("t_s", Json.Float (Int64.to_float join_time /. 1e6));
-           ("retry", Json.counters (D.retry_counters d));
+           ("retry", Json.counters (row D.retry_row));
          ]
         @
         if crashing then
           [
-            ("recovery", Json.counters (D.recovery_counters d));
-            ("storage", Json.counters (D.storage_counters d));
+            ("recovery", Json.counters (row D.recovery_row));
+            ("storage", Json.counters (row D.storage_row));
           ]
         else []) )
   in
@@ -598,9 +599,7 @@ let run_failover members n_managers seeds loss kill_at partition_at heal_after
     let connected = List.length (FO.connected_members t) in
     let ok = connected = members in
     let primary = match FO.primary t with Some p -> p | None -> "" in
-    let replication =
-      Netsim.Stats.replication_named (FO.replication_stats t)
-    in
+    let replication = Metrics.named (FO.replication t) in
     Printf.bprintf b
       "seed=%-3Ld %-9s connected=%d/%d primary=%s failovers=%d failbacks=%d \
        demotions=%d\n"
@@ -609,7 +608,7 @@ let run_failover members n_managers seeds loss kill_at partition_at heal_after
       connected members
       (if primary = "" then "(none)" else primary)
       (FO.failovers t) (FO.failbacks t) (FO.demotions t);
-    ff b "         replication: %a@." Netsim.Stats.pp_named replication;
+    ff b "         replication: %a@." Metrics.pp replication;
     if verbose then begin
       let pp_pairs fmt l =
         List.iter (fun (b, v) -> Format.fprintf fmt " %s=%Ld" b v) l
@@ -894,11 +893,10 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
       seed
       (if ok then "CONVERGED" else "WEDGED")
       !evictions !hwm (not no_dup) (not no_leak) drained bounded;
-    ff b "         delivery: %a@." Netsim.Stats.pp_named
-      (D.delivery_counters d);
+    let row = Metrics.row (D.counters d) in
+    ff b "         delivery: %a@." Metrics.pp (row D.delivery_row);
     if verbose then
-      ff b "         recovery: %a@." Netsim.Stats.pp_named
-        (D.recovery_counters d);
+      ff b "         recovery: %a@." Metrics.pp (row D.recovery_row);
     ( ok,
       Json.Obj
         [
@@ -910,7 +908,7 @@ let run_churn members churn_rate epoch_window rounds seeds seed loss duplicate
           ("leaks", Json.Bool (not no_leak));
           ("drained", Json.Bool drained);
           ("bounded", Json.Bool bounded);
-          ("delivery", Json.counters (D.delivery_counters d));
+          ("delivery", Json.counters (row D.delivery_row));
         ] )
   in
   let stale_policy = if stale then "deliver" else "reject" in
@@ -1028,7 +1026,11 @@ let run_intrude arm_str members seeds until_s no_admission profile json
         ?intrusion:(if no_admission then None else Some sn_config)
         ~honest ~n_late arm seed
     in
-    let stats = D.sentinel_stats d in
+    (* Read before the post-containment probe below runs the clock on. *)
+    let blocked = Metrics.find (D.counters d) DC.injections_blocked in
+    let rekeys =
+      Metrics.find (D.counters d) S.Counter.emergency_rekeys
+    in
     let suspect = if framing then victim else fst Scenario.insider in
     let level = Option.map (fun sn -> S.level sn suspect) (D.sentinel d) in
     let wire_level =
@@ -1046,9 +1048,11 @@ let run_intrude arm_str members seeds until_s no_admission profile json
     Scenario.run_until d until_s;
     let unreadable = Scenario.secret_unreadable d actor secret in
     let injected =
-      match actor with
-      | Scenario.Insider i -> Adversary.Insider.counters i
-      | Scenario.Outsider o -> Adversary.Outsider.counters o
+      Metrics.named
+        (Netsim.Intruder.counters
+           (match actor with
+           | Scenario.Insider i -> Adversary.Insider.intruder i
+           | Scenario.Outsider o -> Adversary.Outsider.intruder o))
     in
     let shown = match level with None -> "(no sentinel)" | l -> level_name l in
     if framing then
@@ -1057,15 +1061,13 @@ let run_intrude arm_str members seeds until_s no_admission profile json
          sealed=%b\n"
         seed shown
         (match wire_level with None -> "-" | l -> level_name l)
-        stats.Netsim.Stats.injections_blocked joins_ok n_late unreadable
+        blocked joins_ok n_late unreadable
     else
       Printf.bprintf b "seed=%-3Ld %-11s joins=%d/%d rekeys=%d sealed=%b\n"
-        seed shown joins_ok n_late stats.Netsim.Stats.emergency_rekeys
-        unreadable;
-    ff b "         injected: %a@." Netsim.Stats.pp_named injected;
-    if verbose then
-      ff b "         sentinel: %a@." Netsim.Stats.pp_named
-        (D.sentinel_counters d);
+        seed shown joins_ok n_late rekeys unreadable;
+    ff b "         injected: %a@." Metrics.pp injected;
+    let sentinel = Metrics.row (D.counters d) D.sentinel_row in
+    if verbose then ff b "         sentinel: %a@." Metrics.pp sentinel;
     ( (contained, joins_ok, unreadable),
       Json.Obj
         ([
@@ -1076,7 +1078,7 @@ let run_intrude arm_str members seeds until_s no_admission profile json
            ("joins_total", Json.Int n_late);
            ("post_rekey_unreadable", Json.Bool unreadable);
            ("injected", Json.counters injected);
-           ("sentinel", Json.counters (D.sentinel_counters d));
+           ("sentinel", Json.counters sentinel);
          ]
         @
         if framing then
@@ -1084,7 +1086,7 @@ let run_intrude arm_str members seeds until_s no_admission profile json
             ("victim", Json.Str victim);
             ("wire_level", Json.Str (level_name wire_level));
             ( "injections_blocked",
-              Json.Int stats.Netsim.Stats.injections_blocked );
+              Json.Int blocked );
           ]
         else []) )
   in
@@ -1451,7 +1453,11 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
         List.iter (fun (n, _) -> D.join d n) late;
         Scenario.run_until d until_s);
     let wedged = !wedge <> None in
-    let rs = D.resource_stats d in
+    let get = Metrics.find (D.counters d) in
+    let degraded = get Enclaves.Leader.Counter.degraded_entries
+    and rearms = get Enclaves.Leader.Counter.rearms
+    and shed = get Enclaves.Delivery.Counter.records_shed
+    and enospc = get Store.Fault.Counter.enospc_hits in
     let honest_quarantined = Scenario.honest_quarantined d honest in
     let joins_ok = Scenario.connected d honest in
     let reconverged =
@@ -1481,10 +1487,7 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
        before re-arming.) *)
     let engaged =
       no_degrade
-      || rs.Netsim.Stats.degraded_entries > 0
-         && D.rearms d > 0
-         && rs.Netsim.Stats.records_shed > 0
-         && rs.Netsim.Stats.enospc_hits > 0
+      || degraded > 0 && rearms > 0 && shed > 0 && enospc > 0
     in
     let ok =
       if no_degrade then (not expect_wedge) || wedged
@@ -1495,19 +1498,15 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
        enospc=%d degraded=%d rearms=%d%s\n"
       seed
       (if wedged then "WEDGED" else if survived then "SURVIVED" else "DAMAGED")
-      joins_ok members reconverged healthy_end rs.Netsim.Stats.records_shed
-      rs.Netsim.Stats.enospc_hits rs.Netsim.Stats.degraded_entries
-      (D.rearms d)
+      joins_ok members reconverged healthy_end shed enospc degraded rearms
       (match !wedge with
       | Some e -> "  [" ^ Printexc.to_string e ^ "]"
       | None -> "");
     if verbose then begin
-      ff b "         resource: %a@." Netsim.Stats.pp_named
-        (D.resource_counters d);
-      ff b "         storage:  %a@." Netsim.Stats.pp_named
-        (D.storage_counters d);
-      ff b "         sentinel: %a@." Netsim.Stats.pp_named
-        (D.sentinel_counters d)
+      let row = Metrics.row (D.counters d) in
+      ff b "         resource: %a@." Metrics.pp (row D.resource_row);
+      ff b "         storage:  %a@." Metrics.pp (row D.storage_row);
+      ff b "         sentinel: %a@." Metrics.pp (row D.sentinel_row)
     end;
     ( (seed, ok, wedged, survived),
       Json.Obj
@@ -1522,8 +1521,8 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
           ("healthy_end", Json.Bool healthy_end);
           ("shed_markers_durable", Json.Bool markers_durable);
           ("bytes_bounded", Json.Bool bytes_bounded);
-          ("resource", Json.counters (D.resource_counters d));
-          ("storage", Json.counters (D.storage_counters d));
+          ("resource", Json.counters (Metrics.row (D.counters d) D.resource_row));
+          ("storage", Json.counters (Metrics.row (D.counters d) D.storage_row));
         ] )
   in
   let summary verdicts =

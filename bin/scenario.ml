@@ -293,7 +293,7 @@ let connected d members =
    injections dropped at the door. *)
 let wire_contained d =
   quarantined d S.wire_peer
-  || (D.sentinel_stats d).Netsim.Stats.injections_blocked > 0
+  || Metrics.find (D.counters d) D.Counter.injections_blocked > 0
 
 (* Every honest member is in session on the leader's epoch and view.
    The insider is left out: it is expected to end quarantined and out

@@ -76,18 +76,20 @@ let one ?(recovery = D.default_recovery) ?storage_faults ~warm ~loss seed =
     Audit.run ~directory ~leader:"leader"
       (Netsim.Network.trace (D.net d))
   in
-  let r = D.recovery_stats d in
+  let get = Metrics.find (D.counters d) in
   Printf.printf
     "  seed=%-2Ld latency=%6.2fs handshakes=%2d recovered=%d cold_reauths=%d \
      beacon_reauths=%d challenge_rtx=%d\n"
     seed
     (Int64.to_float latency /. 1e6)
-    report.Audit.handshakes_completed (D.sessions_recovered d) r.D.cold_reauths
-    r.D.beacon_reauths r.D.challenge_retransmits;
+    report.Audit.handshakes_completed
+    (get Leader.Counter.sessions_recovered)
+    (get D.Counter.cold_reauths) (get D.Counter.beacon_reauths)
+    (get D.Counter.challenge_retransmits);
   (match storage_faults with
   | Some _ ->
-      Format.printf "           storage: %a@." Netsim.Stats.pp_named
-        (D.storage_counters d)
+      Format.printf "           storage: %a@." Metrics.pp
+        (Metrics.row (D.counters d) D.storage_row)
   | None -> ());
   (latency, report.Audit.handshakes_completed)
 

@@ -61,12 +61,13 @@ let () =
   run_for t 4000;
   show t "-- after failover --";
 
-  let stats = Failover.replication_stats t in
+  let stats = Failover.replication t in
+  let warm = Metrics.get stats Replication.Counter.warm_promotions in
   Printf.printf "\n  replication: %s\n"
     (String.concat " "
        (List.map
           (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-          (Netsim.Stats.replication_named stats)));
+          (Metrics.named stats)));
 
   Failover.send_app t "carol" "we survived";
   run_for t 1000;
@@ -78,7 +79,7 @@ let () =
 
   let ok =
     List.length (Failover.connected_members t) = List.length directory
-    && stats.Netsim.Stats.warm_promotions = 1
+    && warm = 1
     && Failover.failovers t = 0
   in
   Printf.printf "\nRESULT: %s\n"

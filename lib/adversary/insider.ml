@@ -31,7 +31,6 @@ let create ~driver ~insider ~password () =
   { driver; insider; password; intr = I.create ~rng (); rng; retired = [] }
 
 let intruder t = t.intr
-let counters t = I.counters_named (I.counters t.intr)
 
 let leader_name t = Enclaves.Leader.self (D.Improved.leader t.driver)
 

@@ -27,9 +27,6 @@ val create :
     handshakes under it. *)
 
 val intruder : t -> Netsim.Intruder.t
-val counters : t -> (string * int) list
-(** Frames actually injected, per arm (see
-    {!Netsim.Intruder.counters_named}). *)
 
 val harvest : t -> bool
 (** Pocket the insider's current session key for the forge arm; [false]

@@ -29,7 +29,6 @@ let create ~driver ~victim () =
   { driver; victim; intr = I.create ~rng (); rng }
 
 let intruder t = t.intr
-let counters t = I.counters_named (I.counters t.intr)
 let victim t = t.victim
 
 let leader_name t = Enclaves.Leader.self (D.Improved.leader t.driver)

@@ -34,10 +34,6 @@ val create :
 val intruder : t -> Netsim.Intruder.t
 val victim : t -> Enclaves.Types.agent
 
-val counters : t -> (string * int) list
-(** Frames actually injected, per arm (see
-    {!Netsim.Intruder.counters_named}). *)
-
 val frame_replay : t -> int -> int
 (** Re-inject up to [burst] of the victim's own captured leader-bound
     frames verbatim, newest first; returns how many the trace could

@@ -1,8 +1,3 @@
-let xor a b =
-  let n = String.length a in
-  if String.length b <> n then invalid_arg "Bytes_ops.xor: length mismatch";
-  String.init n (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
 let xor_into ~src ~dst ~pos =
   let n = String.length src in
   if pos < 0 || pos + n > Bytes.length dst then

@@ -1,10 +1,6 @@
 (** Miscellaneous byte-string operations used throughout the crypto and
     wire layers. *)
 
-val xor : string -> string -> string
-(** [xor a b] is the bytewise XOR of [a] and [b].
-    @raise Invalid_argument if lengths differ. *)
-
 val xor_into : src:string -> dst:bytes -> pos:int -> unit
 (** [xor_into ~src ~dst ~pos] XORs [src] into [dst] starting at
     [pos].

@@ -460,7 +460,7 @@ let run_degraded ?(pushes = 20) ?(compact_every = 64) ?(seed = 13L)
   in
   if not flushed then
     flag "final" "rearm" "flush failed with the budget released";
-  if (Delivery.counters d).Delivery.records_shed = 0 then
+  if Metrics.get (Delivery.counters d) Delivery.Counter.records_shed = 0 then
     flag "final" "workload" "the ENOSPC window shed nothing — matrix is vacuous";
   let clean = ref 0 and damaged = ref 0 in
   let check_image (img : CP.image) =

@@ -25,26 +25,17 @@ let pp_policy fmt { width; on_stale } =
     | Deliver_stale -> "deliver-stale"
     | Reject -> "reject")
 
-type counters = {
-  mutable queued : int;
-  mutable drained : int;
-  mutable resealed : int;
-  mutable rejected_stale : int;
-  mutable delivered_stale : int;
-  mutable queue_bytes_hwm : int;
-  mutable records_shed : int;
-}
-
-let fresh_counters () =
-  {
-    queued = 0;
-    drained = 0;
-    resealed = 0;
-    rejected_stale = 0;
-    delivered_stale = 0;
-    queue_bytes_hwm = 0;
-    records_shed = 0;
-  }
+module Counter = struct
+  let layer = Metrics.layer "delivery"
+  let c = Metrics.counter layer
+  let queued = c "queued"
+  let drained = c "drained"
+  let resealed = c "resealed"
+  let rejected_stale = c "rejected_stale"
+  let delivered_stale = c "delivered_stale"
+  let queue_bytes_hwm = Metrics.counter ~merge:Max layer "queue_bytes_hwm"
+  let records_shed = c "records_shed"
+end
 
 type budgets = { per_member_bytes : int option; global_bytes : int option }
 
@@ -56,7 +47,7 @@ type t = {
   compact_every : int;
   disk : Store.Backend.t option;
   queues : (Types.agent, Store.Queue.t) Hashtbl.t;
-  counters : counters;
+  counters : Metrics.t;
   mutable ship : (file:string -> string -> unit) option;
   (* Degraded-mode bookkeeping: [durable] mirrors the leader's ladder
      (off = queues evolve in memory only); [dirty] names members whose
@@ -83,7 +74,7 @@ let create ?(policy = default_policy) ?(budgets = no_budgets)
     compact_every;
     disk;
     queues = Hashtbl.create 16;
-    counters = fresh_counters ();
+    counters = Metrics.create Counter.layer;
     ship = None;
     durable = true;
     dirty = Hashtbl.create 4;
@@ -108,8 +99,7 @@ let total_bytes t =
 
 let after_mutation t q =
   let bytes = total_bytes t in
-  if bytes > t.counters.queue_bytes_hwm then
-    t.counters.queue_bytes_hwm <- bytes;
+  Metrics.set_max t.counters Counter.queue_bytes_hwm bytes;
   match t.ship with
   | None -> ()
   | Some ship -> ship ~file:(Store.Queue.file q) (Store.Queue.contents q)
@@ -186,7 +176,7 @@ let shed_oldest t member q =
       guarded t member (fun () ->
           Store.Queue.drop q ~seq:oldest.Store.Queue.seq);
       guarded t member (fun () -> Store.Queue.compact q);
-      t.counters.records_shed <- t.counters.records_shed + 1;
+      Metrics.incr t.counters Counter.records_shed;
       true
 
 (* A bloated log can exceed a byte bound while its snapshot would fit
@@ -229,12 +219,13 @@ let enforce_budgets t =
   match t.budgets with
   | { per_member_bytes = None; global_bytes = None } -> 0
   | _ ->
-      let before = t.counters.records_shed in
+      let shed () = Metrics.get t.counters Counter.records_shed in
+      let before = shed () in
       if over_global t then
         Hashtbl.iter (fun member q -> compact_if_bloated t member q) t.queues;
       Hashtbl.iter (fun member q -> shed_member t member q) t.queues;
       shed_global t;
-      t.counters.records_shed - before
+      shed () - before
 
 (* The one budget check. Every operation that appends to a queue —
    a push, an [Ack], a drain-time or quarantine [Drop] — runs inside
@@ -251,7 +242,7 @@ let enqueue t ~member ~epoch x =
       let q = queue_of t member in
       guarded t member (fun () ->
           ignore (Store.Queue.push q ~epoch (Wire.Admin.encode x)));
-      t.counters.queued <- t.counters.queued + 1)
+      Metrics.incr t.counters Counter.queued)
 
 (* The policy decision, per record. [age] is how many epochs the group
    rotated past the one the record was queued under: [age <= 0] is
@@ -280,7 +271,7 @@ let drain t ~member ~current_epoch =
         | Ok x ->
             let age = current_epoch - e.Store.Queue.epoch in
             if age <= t.policy.width then begin
-              t.counters.drained <- t.counters.drained + 1;
+              Metrics.incr t.counters Counter.drained;
               Some
                 (Wire.Admin.Queued
                    { seq = e.Store.Queue.seq; stale = false; x })
@@ -288,17 +279,15 @@ let drain t ~member ~current_epoch =
             else
               match t.policy.on_stale with
               | Deliver_stale ->
-                  t.counters.delivered_stale <-
-                    t.counters.delivered_stale + 1;
-                  t.counters.drained <- t.counters.drained + 1;
+                  Metrics.incr t.counters Counter.delivered_stale;
+                  Metrics.incr t.counters Counter.drained;
                   Some
                     (Wire.Admin.Queued
                        { seq = e.Store.Queue.seq; stale = true; x })
               | Reject ->
                   guarded t member (fun () ->
                       Store.Queue.drop q ~seq:e.Store.Queue.seq);
-                  t.counters.rejected_stale <-
-                    t.counters.rejected_stale + 1;
+                  Metrics.incr t.counters Counter.rejected_stale;
                   None
       in
       List.filter_map decide (Store.Queue.pending q)

@@ -29,23 +29,33 @@ val default_policy : policy
 
 val pp_policy : Format.formatter -> policy -> unit
 
-type counters = {
-  mutable queued : int;  (** records pushed into any queue *)
-  mutable drained : int;  (** records handed to the session channel *)
-  mutable resealed : int;
-      (** drained records re-sealed under the live session key because
-          the group rotated past their queued epoch — counted at fire
-          time, so a rekey racing a drain in flight counts too *)
-  mutable rejected_stale : int;  (** records dropped beyond the window *)
-  mutable delivered_stale : int;
-      (** records delivered flagged stale (policy [Deliver_stale]) *)
-  mutable queue_bytes_hwm : int;
-      (** high-water mark of the summed queue image sizes *)
-  mutable records_shed : int;
-      (** pending records dropped oldest-first by the byte budgets,
-          each covered by a durable [Drop] marker (deferred to the
-          re-arm {!flush} if the disk refused it) *)
-}
+(** Store-and-forward counters, one instance per delivery layer (a
+    leader incarnation's); {!Manager} banks them across incarnations. *)
+module Counter : sig
+  val layer : Metrics.layer
+  val queued : Metrics.key  (** Records pushed into any queue. *)
+
+  val drained : Metrics.key  (** Records handed to the session channel. *)
+
+  val resealed : Metrics.key
+  (** Drained records re-sealed under the live session key because the
+      group rotated past their queued epoch — counted at fire time, so
+      a rekey racing a drain in flight counts too. *)
+
+  val rejected_stale : Metrics.key  (** Records dropped beyond the window. *)
+
+  val delivered_stale : Metrics.key
+  (** Records delivered flagged stale (policy [Deliver_stale]). *)
+
+  val queue_bytes_hwm : Metrics.key
+  (** High-water mark of the summed queue image sizes; banked as a
+      maximum. *)
+
+  val records_shed : Metrics.key
+  (** Pending records dropped oldest-first by the byte budgets, each
+      covered by a durable [Drop] marker (deferred to the re-arm
+      {!flush} if the disk refused it). *)
+end
 
 type budgets = { per_member_bytes : int option; global_bytes : int option }
 (** Hard byte bounds on queue images: [per_member_bytes] caps each
@@ -75,7 +85,7 @@ val create :
 
 val policy : t -> policy
 val budgets : t -> budgets
-val counters : t -> counters
+val counters : t -> Metrics.t
 
 val enqueue : t -> member:Types.agent -> epoch:int -> Wire.Admin.t -> unit
 (** Durably queue one payload for an offline member, tagged with the

@@ -28,22 +28,31 @@ module Improved = struct
   let preauth_period = Netsim.Vtime.of_ms 50
   let preauth_burst = 4
 
-  type retry_stats = {
-    mutable handshake_retransmits : int;
-    mutable keydist_retransmits : int;
-    mutable admin_retransmits : int;
-    mutable half_open_gcs : int;
-    mutable session_resets : int;
-  }
-
-  let fresh_retry_stats () =
-    {
-      handshake_retransmits = 0;
-      keydist_retransmits = 0;
-      admin_retransmits = 0;
-      half_open_gcs = 0;
-      session_resets = 0;
-    }
+  module Counter = struct
+    let retry = Metrics.layer "retry"
+    let r = Metrics.counter retry
+    let handshake_retransmits = r "handshake_retransmits"
+    let keydist_retransmits = r "keydist_retransmits"
+    let admin_retransmits = r "admin_retransmits"
+    let half_open_gcs = r "half_open_gcs"
+    let session_resets = r "session_resets"
+    let layer = Metrics.layer "driver"
+    let c = Metrics.counter layer
+    let leader_crashes = c "leader_crashes"
+    let warm_restarts = c "warm_restarts"
+    let cold_restarts = c "cold_restarts"
+    let challenges_sent = c "challenges_sent"
+    let challenge_retransmits = c "challenge_retransmits"
+    let challenges_failed = c "challenges_failed"
+    let digests_broadcast = c "digests_broadcast"
+    let probes_sent = c "probes_sent"
+    let cold_reauths = c "cold_reauths"
+    let cold_beacons_sent = c "cold_beacons_sent"
+    let beacon_reauths = c "beacon_reauths"
+    let preauth_queue_dropped = c "preauth_queue_dropped"
+    let injections_blocked = c "injections_blocked"
+    let repl_lag_snapshots = c "repl_lag_snapshots"
+  end
 
   (* Leader-side watch entry for one outstanding frame (identified by
      its nonce): when the nonce survives a whole scan interval the
@@ -72,35 +81,6 @@ module Improved = struct
       beacon_on_cold = true;
     }
 
-  type recovery_stats = {
-    mutable leader_crashes : int;
-    mutable warm_restarts : int;
-    mutable cold_restarts : int;
-    mutable challenges_sent : int;
-    mutable challenge_retransmits : int;
-    mutable challenges_failed : int;
-    mutable digests_broadcast : int;
-    mutable probes_sent : int;
-    mutable cold_reauths : int;
-    mutable cold_beacons_sent : int;
-    mutable beacon_reauths : int;
-  }
-
-  let fresh_recovery_stats () =
-    {
-      leader_crashes = 0;
-      warm_restarts = 0;
-      cold_restarts = 0;
-      challenges_sent = 0;
-      challenge_retransmits = 0;
-      challenges_failed = 0;
-      digests_broadcast = 0;
-      probes_sent = 0;
-      cold_reauths = 0;
-      cold_beacons_sent = 0;
-      beacon_reauths = 0;
-    }
-
   type t = {
     sim : Netsim.Sim.t;
     net : Netsim.Network.t;
@@ -108,9 +88,9 @@ module Improved = struct
     members : (Types.agent, Member.t) Hashtbl.t;
     directory : (Types.agent * string) list;
     retry : bool;
-    rstats : retry_stats;
+    retries : Metrics.t;  (* the {!Counter.retry} layer *)
     recovery : recovery_config option;
-    recstats : recovery_stats;
+    counts : Metrics.t;  (* the driver's own {!Counter.layer} *)
     jrng : Prng.Splitmix.t;  (* jitter; split off the root stream *)
     preauth : bool;
     preauth_q : (string * Netsim.Trace.via option) Queue.t;
@@ -118,10 +98,6 @@ module Improved = struct
            with the injection path each arrived over — the path is
            only observable during the synchronous delivery, so it is
            captured at enqueue time. *)
-    mutable preauth_dropped : int;  (* tail drops at the full queue *)
-    mutable injections_blocked : int;
-        (* Wire-injected frames dropped at the door after the wire
-           pseudo-peer reached quarantine. *)
     mutable pump_scheduled : bool;
     prng_pump : Prng.Splitmix.t;
         (* Service jitter. Seeded independently of the root stream so
@@ -217,11 +193,11 @@ module Improved = struct
     if
       Leader.mode (leader t) <> Leader.Healthy
       && not (List.mem_assoc frame.F.sender t.directory)
-    then t.preauth_dropped <- t.preauth_dropped + 1
+    then Metrics.incr t.counts Counter.preauth_queue_dropped
     else if admit_preauth t ?via frame then
       if not t.preauth then Manager.deliver t.mgr ?via bytes
       else if Queue.length t.preauth_q >= effective_capacity t then
-        t.preauth_dropped <- t.preauth_dropped + 1
+        Metrics.incr t.counts Counter.preauth_queue_dropped
       else begin
         Queue.push (bytes, via) t.preauth_q;
         schedule_pump t
@@ -250,7 +226,7 @@ module Improved = struct
               >= Sentinel.level_rank Sentinel.Quarantined
           | _ -> false
         in
-        if wire_blocked then t.injections_blocked <- t.injections_blocked + 1
+        if wire_blocked then Metrics.incr t.counts Counter.injections_blocked
         else if (not t.preauth) && Option.is_none (sentinel t) then
           Manager.deliver t.mgr ?via bytes
         else
@@ -305,16 +281,15 @@ module Improved = struct
                 && Netsim.Vtime.(half_open_gc <= Int64.sub now w.first_seen)
               then begin
                 if Leader.abort_half_open l who then
-                  t.rstats.half_open_gcs <- t.rstats.half_open_gcs + 1;
+                  Metrics.incr t.retries Counter.half_open_gcs;
                 Hashtbl.remove t.watches who
               end
               else if Netsim.Vtime.(w.interval <= Int64.sub now w.last_rtx)
               then begin
                 dispatch_leader t (Leader.retransmit l who);
                 if is_half_open then
-                  t.rstats.keydist_retransmits <-
-                    t.rstats.keydist_retransmits + 1
-                else t.rstats.admin_retransmits <- t.rstats.admin_retransmits + 1;
+                  Metrics.incr t.retries Counter.keydist_retransmits
+                else Metrics.incr t.retries Counter.admin_retransmits;
                 w.last_rtx <- now;
                 w.interval <- next_delay w.interval
               end
@@ -372,8 +347,7 @@ module Improved = struct
                  | Some close -> send t ~src:who close
                  | None -> ());
                  send t ~src:who (Member.retransmit_join m);
-                 t.rstats.handshake_retransmits <-
-                   t.rstats.handshake_retransmits + 1;
+                 Metrics.incr t.retries Counter.handshake_retransmits;
                  watch_member t who ~delay:(next_delay delay) ~keyless_ticks:0
              | Member.Connected _ when Member.group_key m = None ->
                  Hashtbl.remove t.pending_close who;
@@ -381,7 +355,7 @@ module Improved = struct
                    (* Two consecutive keyless observations: the leader
                       no longer runs our session. Close and start
                       over. *)
-                   t.rstats.session_resets <- t.rstats.session_resets + 1;
+                   Metrics.incr t.retries Counter.session_resets;
                    let close = Member.leave m in
                    send t ~src:who close;
                    Hashtbl.replace t.pending_close who close;
@@ -417,7 +391,7 @@ module Improved = struct
         (fun who ->
           match Leader.session l who with
           | Leader.Connected _ ->
-              t.recstats.digests_broadcast <- t.recstats.digests_broadcast + 1;
+              Metrics.incr t.counts Counter.digests_broadcast;
               dispatch_leader t
                 (Leader.enqueue_admin l who
                    (Wire.Admin.View_digest { digest; epoch }))
@@ -449,7 +423,7 @@ module Improved = struct
              else begin
                let silent = Int64.add silent_for rc.digest_period in
                if Netsim.Vtime.(rc.reset_after <= silent) then begin
-                 t.recstats.cold_reauths <- t.recstats.cold_reauths + 1;
+                 Metrics.incr t.counts Counter.cold_reauths;
                  let close = Member.leave m in
                  send t ~src:who close;
                  Hashtbl.replace t.pending_close who close;
@@ -460,7 +434,7 @@ module Improved = struct
                end
                else begin
                  if Netsim.Vtime.(rc.probe_after <= silent) then begin
-                   t.recstats.probes_sent <- t.recstats.probes_sent + 1;
+                   Metrics.incr t.counts Counter.probes_sent;
                    send t ~src:who (Member.resync_request m)
                  end;
                  ae_watch t rc who ~last_seen ~silent_for:silent
@@ -479,7 +453,7 @@ module Improved = struct
         let replies = Member.receive m bytes in
         send t ~src:who replies;
         if Member.consume_beacon_reset m then begin
-          t.recstats.beacon_reauths <- t.recstats.beacon_reauths + 1;
+          Metrics.incr t.counts Counter.beacon_reauths;
           Hashtbl.remove t.pending_close who;
           rewatch t who
         end)
@@ -507,14 +481,12 @@ module Improved = struct
         members;
         directory;
         retry;
-        rstats = fresh_retry_stats ();
+        retries = Metrics.create Counter.retry;
         recovery;
-        recstats = fresh_recovery_stats ();
+        counts = Metrics.create Counter.layer;
         jrng = Prng.Splitmix.split rng;
         preauth;
         preauth_q = Queue.create ();
-        preauth_dropped = 0;
-        injections_blocked = 0;
         pump_scheduled = false;
         prng_pump = Prng.Splitmix.create (Int64.logxor seed 0x70726561757468L);
         retry_stopped = false;
@@ -549,12 +521,8 @@ module Improved = struct
 
   let sim t = t.sim
   let net t = t.net
-  let retry_stats t = t.rstats
-  let recovery_stats t = t.recstats
   let journal_bytes t = Option.map Journal.contents (Manager.journal t.mgr)
   let epoch_vault t = Manager.vault t.mgr
-  let counters t = Manager.counters t.mgr
-  let sessions_recovered t = (counters t).Manager.recoveries
 
   let join t who =
     send t ~src:who (Member.join (member t who));
@@ -590,21 +558,11 @@ module Improved = struct
   let total_queue_depth t =
     match delivery t with Some d -> Delivery.total_depth d | None -> 0
 
-  let delivery_stats t =
-    let deduped =
-      Hashtbl.fold
-        (fun _ m acc -> acc + Member.deliveries_deduped m)
-        t.members 0
-    in
-    { (counters t).Manager.delivery with Netsim.Stats.deduped }
-
-  let delivery_counters t = Netsim.Stats.delivery_named (delivery_stats t)
-
   (* --- leader crash and restart --- *)
 
   let crash_leader t =
     if not (leader_down t) then begin
-      t.recstats.leader_crashes <- t.recstats.leader_crashes + 1;
+      Metrics.incr t.counts Counter.leader_crashes;
       (* The pre-auth queue is process memory; a crash loses it. *)
       Queue.clear t.preauth_q;
       Manager.crash t.mgr
@@ -636,11 +594,10 @@ module Improved = struct
           (fun who ->
             if expired then begin
               if Leader.abort_recovery incarnation who then
-                t.recstats.challenges_failed <- t.recstats.challenges_failed + 1
+                Metrics.incr t.counts Counter.challenges_failed
             end
             else begin
-              t.recstats.challenge_retransmits <-
-                t.recstats.challenge_retransmits + 1;
+              Metrics.incr t.counts Counter.challenge_retransmits;
               dispatch_leader t (Leader.retransmit incarnation who)
             end)
           pending;
@@ -668,8 +625,7 @@ module Improved = struct
           || missing = []
         then false
         else begin
-          t.recstats.cold_beacons_sent <-
-            t.recstats.cold_beacons_sent + List.length missing;
+          Metrics.add t.counts Counter.cold_beacons_sent (List.length missing);
           dispatch_leader t missing;
           true
         end)
@@ -683,21 +639,19 @@ module Improved = struct
     let started = Netsim.Sim.now t.sim in
     (match r.Manager.path with
     | Manager.Warm ->
-        t.recstats.warm_restarts <- t.recstats.warm_restarts + 1;
-        t.recstats.challenges_sent <-
-          t.recstats.challenges_sent + List.length r.Manager.frames;
+        Metrics.incr t.counts Counter.warm_restarts;
+        Metrics.add t.counts Counter.challenges_sent (List.length r.Manager.frames);
         dispatch_leader t r.Manager.frames;
         recovery_scan t rc ~incarnation ~started
     | Manager.Cold ->
-        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1;
+        Metrics.incr t.counts Counter.cold_restarts;
         if rc.beacon_on_cold then begin
-          t.recstats.cold_beacons_sent <-
-            t.recstats.cold_beacons_sent + List.length r.Manager.frames;
+          Metrics.add t.counts Counter.cold_beacons_sent (List.length r.Manager.frames);
           dispatch_leader t r.Manager.frames;
           beacon_scan t rc ~incarnation ~beacons:r.Manager.frames ~started
         end
     | Manager.Fresh ->
-        t.recstats.cold_restarts <- t.recstats.cold_restarts + 1);
+        Metrics.incr t.counts Counter.cold_restarts);
     r.Manager.status
 
   let schedule_leader_crash ?restart_after ?(warm = true) ?journal_bytes t ~at
@@ -776,85 +730,110 @@ module Improved = struct
       (fun _ m acc -> acc && Member.group_view m = lview)
       t.members true
 
-  let retry_counters t =
-    [
-      ("handshake_retransmits", t.rstats.handshake_retransmits);
-      ("keydist_retransmits", t.rstats.keydist_retransmits);
-      ("admin_retransmits", t.rstats.admin_retransmits);
-      ("half_open_gcs", t.rstats.half_open_gcs);
-      ("session_resets", t.rstats.session_resets);
-    ]
-
-  let recovery_counters t =
-    [
-      ("leader_crashes", t.recstats.leader_crashes);
-      ("warm_restarts", t.recstats.warm_restarts);
-      ("cold_restarts", t.recstats.cold_restarts);
-      ("challenges_sent", t.recstats.challenges_sent);
-      ("challenge_retransmits", t.recstats.challenge_retransmits);
-      ("challenges_failed", t.recstats.challenges_failed);
-      ("sessions_recovered", sessions_recovered t);
-      ("digests_broadcast", t.recstats.digests_broadcast);
-      ( "divergences_detected",
-        Hashtbl.fold (fun _ m n -> n + Member.view_divergences m) t.members 0 );
-      ("resyncs_served", (counters t).Manager.resyncs_served);
-      ("probes_sent", t.recstats.probes_sent);
-      ("cold_reauths", t.recstats.cold_reauths);
-      ("cold_beacons_sent", t.recstats.cold_beacons_sent);
-      ("beacon_reauths", t.recstats.beacon_reauths);
-    ]
-
-  (* --- resource pressure and the degraded-mode ladder --- *)
-
   let fault t = Manager.fault t.mgr
 
-  let fault_counters t =
-    match fault t with
-    | Some f -> Store.Fault.counters f
-    | None -> Store.Fault.empty_counters ()
+  (* --- counters --- *)
 
-  let storage_counters t =
-    let faults = fault_counters t in
-    Netsim.Stats.storage_named
+  let counters t =
+    Metrics.sum Counter.retry [ t.retries ]
+    :: Metrics.sum Counter.layer [ t.counts ]
+    :: Metrics.sum Sentinel.Counter.layer
+         (Option.to_list (Option.map Sentinel.counters (sentinel t)))
+    :: Metrics.sum Store.Fault.Counter.layer
+         (Option.to_list (Option.map Store.Fault.counters (fault t)))
+    :: Metrics.sum Member.Counter.layer
+         (Hashtbl.fold (fun _ m acc -> Member.counters m :: acc) t.members [])
+    :: Manager.counters t.mgr
+
+  let retry_row = Metrics.keys Counter.retry
+
+  let recovery_row =
+    Counter.
+      [
+        leader_crashes;
+        warm_restarts;
+        cold_restarts;
+        challenges_sent;
+        challenge_retransmits;
+        challenges_failed;
+        Leader.Counter.sessions_recovered;
+        digests_broadcast;
+        Member.Counter.divergences_detected;
+        Leader.Counter.resyncs_served;
+        probes_sent;
+        cold_reauths;
+        cold_beacons_sent;
+        beacon_reauths;
+      ]
+
+  let storage_row =
+    Store.Fault.Counter.
+      [
+        torn_writes;
+        short_writes;
+        dropped_fsyncs;
+        eio_injected;
+        Journal.Counter.eio_retries;
+        Manager.Counter.crash_images_replayed;
+      ]
+
+  let resource_row =
+    [
+      Leader.Counter.degraded_entries;
+      Delivery.Counter.records_shed;
+      Store.Fault.Counter.enospc_hits;
+      Store.Fault.Counter.fsync_stall_ms_max;
+      Counter.repl_lag_snapshots;
+    ]
+
+  let sentinel_row =
+    Sentinel.Counter.
+      [
+        observations;
+        rate_limits;
+        quarantines;
+        expulsions;
+        emergency_rekeys;
+        quarantined_dropped;
+        preauth_admitted;
+        preauth_throttled;
+        preauth_capped;
+        Counter.preauth_queue_dropped;
+        queues_purged;
+        suspicion_shipped;
+        suspicion_imported;
+        wire_observations;
+        off_path_observations;
+        framing_holds;
+        challenges_issued;
+        attestations;
+        Counter.injections_blocked;
+      ]
+
+  let delivery_row =
+    Delivery.Counter.
+      [
+        queued;
+        drained;
+        Member.Counter.deduped;
+        resealed;
+        rejected_stale;
+        delivered_stale;
+        queue_bytes_hwm;
+      ]
+
+  let delivery_stats t =
+    let get = Metrics.find (counters t) in
+    Delivery.Counter.
       {
-        Netsim.Stats.torn_writes = faults.Store.Fault.torn_writes;
-        short_writes = faults.Store.Fault.short_writes;
-        dropped_fsyncs = faults.Store.Fault.dropped_fsyncs;
-        eio_injected = faults.Store.Fault.eio_injected;
-        eio_retries = (counters t).Manager.eio_retries;
-        crash_images_replayed = (counters t).Manager.crash_images;
+        Netsim.Stats.queued = get queued;
+        drained = get drained;
+        deduped = get Member.Counter.deduped;
+        resealed = get resealed;
+        rejected_stale = get rejected_stale;
+        delivered_stale = get delivered_stale;
+        queue_bytes_hwm = get queue_bytes_hwm;
       }
-
-  let rearms t = (counters t).Manager.rearms
-
-  let resource_stats ?(repl_snapshots = 0) t =
-    let faults = fault_counters t in
-    {
-      Netsim.Stats.degraded_entries = (counters t).Manager.degraded_entries;
-      records_shed = (counters t).Manager.records_shed;
-      enospc_hits = faults.Store.Fault.enospc_hits;
-      fsync_stall_ms_max = faults.Store.Fault.fsync_stall_ms_max;
-      repl_lag_snapshots = repl_snapshots;
-    }
-
-  let resource_counters ?repl_snapshots t =
-    Netsim.Stats.resource_named (resource_stats ?repl_snapshots t)
-
-  (* --- intrusion containment --- *)
-
-  let sentinel_stats t =
-    let base =
-      match sentinel t with
-      | Some sn -> Sentinel.to_stats (Sentinel.counters sn)
-      | None -> Netsim.Stats.empty_sentinel
-    in
-    {
-      base with
-      Netsim.Stats.preauth_queue_dropped = t.preauth_dropped;
-      injections_blocked = t.injections_blocked;
-    }
-
-  let sentinel_counters t = Netsim.Stats.sentinel_named (sentinel_stats t)
 end
 
 module Legacy = struct

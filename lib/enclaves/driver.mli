@@ -12,21 +12,15 @@
     policies — handshake retry, leader scans, view anti-entropy and
     the pre-auth door. {!Legacy} drives the §2.2 baseline. Both expose
     {!Improved.prefix_ok}-style checks used to validate §5.4's
-    ordering property at runtime. *)
+    ordering property at runtime.
+
+    Counters are not kept here twice: each is declared once, in the
+    {!Metrics} layer of the module that counts it (the driver's own in
+    {!Improved.Counter}); {!Improved.counters} snapshots every layer of
+    a deployment, and the report rows are key lists over it. *)
 
 module Improved : sig
   type t
-
-  (** Counters for the recovery layer, for chaos reports. *)
-  type retry_stats = {
-    mutable handshake_retransmits : int;  (** Member re-sent [AuthInitReq]. *)
-    mutable keydist_retransmits : int;  (** Leader re-sent [AuthKeyDist]. *)
-    mutable admin_retransmits : int;  (** Leader re-sent an [AdminMsg]. *)
-    mutable half_open_gcs : int;  (** Stalled handshakes collected. *)
-    mutable session_resets : int;
-        (** Member sessions torn down and restarted after
-            authenticating without ever receiving the group key. *)
-  }
 
   (** Tuning for the durability/anti-entropy layer. All delays are
       virtual time. *)
@@ -55,27 +49,6 @@ module Improved : sig
   val default_recovery : recovery_config
   (** 1 s beacons, 3 s challenge timeout, probe at 4 s of silence,
       cold reset at 10 s, beacons on cold restart enabled. *)
-
-  (** Counters for the crash-recovery and anti-entropy layer. *)
-  type recovery_stats = {
-    mutable leader_crashes : int;
-    mutable warm_restarts : int;
-    mutable cold_restarts : int;
-    mutable challenges_sent : int;  (** Initial challenges at restart. *)
-    mutable challenge_retransmits : int;
-    mutable challenges_failed : int;
-        (** Journalled sessions dropped after [challenge_timeout]. *)
-    mutable digests_broadcast : int;  (** Beacons enqueued (per member). *)
-    mutable probes_sent : int;  (** Member-initiated resync probes. *)
-    mutable cold_reauths : int;
-        (** Members that gave up on a silent session and rejoined from
-            scratch. *)
-    mutable cold_beacons_sent : int;
-        (** [ColdRestart] beacons broadcast by cold-restarted leaders. *)
-    mutable beacon_reauths : int;
-        (** Members that rejoined via the beacon shortcut instead of
-            waiting out the [reset_after] watchdog. *)
-  }
 
   val create :
     ?seed:int64 ->
@@ -150,26 +123,6 @@ module Improved : sig
       time). With [retry] enabled, also start the member's handshake
       retransmission watchdog. *)
 
-  val retry_stats : t -> retry_stats
-  val recovery_stats : t -> recovery_stats
-
-  val retry_counters : t -> (string * int) list
-  (** {!retry_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
-
-  val recovery_counters : t -> (string * int) list
-  (** {!recovery_stats} plus the derived totals
-      ([sessions_recovered], [divergences_detected], [resyncs_served])
-      as labelled counters. *)
-
-  val storage_counters : t -> (string * int) list
-  (** What the storage-fault layer did so far, as labelled counters for
-      {!Netsim.Stats.pp_named}: injections from {!Store.Fault}, EIO
-      retries absorbed by the journals, and crash images replayed. All
-      zero without [storage_faults]. *)
-
-  (** {2 Resource pressure and the degraded-mode ladder} *)
-
   val fault : t -> Store.Fault.t option
   (** The seeded fault layer under the leader's disk, when
       [storage_faults] was given: the harness's handle for turning disk
@@ -177,25 +130,6 @@ module Improved : sig
       {!Store.Fault.trigger_stall}, {!Store.Fault.heal_stall}). One
       instance outlives every leader incarnation; lifting the pressure
       lets the leader's next scan tick re-arm durability. *)
-
-  val rearms : t -> int
-  (** Successful re-arms back to [Healthy], summed across leader
-      incarnations. *)
-
-  val resource_stats : ?repl_snapshots:int -> t -> Netsim.Stats.resource
-  (** Resource-pressure counters summed across leader incarnations:
-      ladder entries, records shed under byte budgets, ENOSPC refusals
-      and the worst fsync stall from the fault layer. The driver does
-      not own a replication source, so [repl_snapshots] (default 0)
-      lets the harness fill in {!Replication.Source.lag_snapshots}. *)
-
-  val resource_counters : ?repl_snapshots:int -> t -> (string * int) list
-  (** {!resource_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
-
-  val sessions_recovered : t -> int
-  (** Sessions restored warm (challenge answered), summed across all
-      leader incarnations. *)
 
   val crash_leader : t -> unit
   (** Kill the leader process ({!Manager.crash}): frames addressed to
@@ -271,30 +205,11 @@ module Improved : sig
 
   val total_queue_depth : t -> int
 
-  val delivery_stats : t -> Netsim.Stats.delivery
-  (** Store-and-forward counters summed across leader incarnations
-      (the high-water mark is a max), with the members' cumulative
-      dedup counts filled in. All zeros when [delivery] was not
-      given. *)
-
-  val delivery_counters : t -> (string * int) list
-  (** {!delivery_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
-
   (** {2 Intrusion containment} *)
 
   val sentinel : t -> Sentinel.t option
   (** The cluster's intrusion sentinel, when [intrusion] was given at
       {!create}. One instance outlives every leader incarnation. *)
-
-  val sentinel_stats : t -> Netsim.Stats.sentinel
-  (** Sentinel counters with the driver's pre-auth queue tail-drop
-      count filled in. All zeros (except possibly queue drops) when
-      [intrusion] was not given. *)
-
-  val sentinel_counters : t -> (string * int) list
-  (** {!sentinel_stats} as labelled counters for
-      {!Netsim.Stats.pp_named}. *)
 
   val start_periodic_rekey :
     t -> period:Netsim.Vtime.t -> ?until:Netsim.Vtime.t -> unit ->
@@ -325,6 +240,103 @@ module Improved : sig
   (** {!converged} plus view agreement: every member's membership view
       equals the leader's member list — what the anti-entropy layer
       drives the system back to. *)
+
+  (** {2 Counters}
+
+      Each counter is declared once, in the {!Metrics} layer of the
+      module that counts it. A report row mixing layers is a key list
+      read from {!counters} with {!Metrics.row}. *)
+
+  (** The driver's own counters: the retry layer's, and those of
+      crash recovery, anti-entropy and the pre-auth door. *)
+  module Counter : sig
+    val retry : Metrics.layer
+
+    val handshake_retransmits : Metrics.key
+    (** Member re-sent [AuthInitReq]. *)
+
+    val keydist_retransmits : Metrics.key  (** Leader re-sent [AuthKeyDist]. *)
+
+    val admin_retransmits : Metrics.key  (** Leader re-sent an [AdminMsg]. *)
+
+    val half_open_gcs : Metrics.key  (** Stalled handshakes collected. *)
+
+    val session_resets : Metrics.key
+    (** Member sessions torn down and restarted after authenticating
+        without ever receiving the group key. *)
+
+    val layer : Metrics.layer
+    val leader_crashes : Metrics.key
+    val warm_restarts : Metrics.key
+    val cold_restarts : Metrics.key
+    val challenges_sent : Metrics.key  (** Initial challenges at restart. *)
+
+    val challenge_retransmits : Metrics.key
+
+    val challenges_failed : Metrics.key
+    (** Journalled sessions dropped after [challenge_timeout]. *)
+
+    val digests_broadcast : Metrics.key  (** Beacons enqueued (per member). *)
+
+    val probes_sent : Metrics.key  (** Member-initiated resync probes. *)
+
+    val cold_reauths : Metrics.key
+    (** Members that gave up on a silent session and rejoined from
+        scratch. *)
+
+    val cold_beacons_sent : Metrics.key
+    (** [ColdRestart] beacons broadcast by cold-restarted leaders. *)
+
+    val beacon_reauths : Metrics.key
+    (** Members that rejoined via the beacon shortcut instead of waiting
+        out the [reset_after] watchdog. *)
+
+    val preauth_queue_dropped : Metrics.key
+    (** Pre-auth frames lost to the bounded service queue's tail (or
+        refused at a degraded leader's door) — the overload signal when
+        admission control is off. *)
+
+    val injections_blocked : Metrics.key
+    (** Wire-injected frames dropped at the leader's door after the wire
+        pseudo-peer itself reached quarantine. *)
+
+    val repl_lag_snapshots : Metrics.key
+    (** Snapshot escalations forced by a backup exceeding its lag
+        budget. Always 0: a one-manager deployment has no backup. *)
+  end
+
+  val counters : t -> Metrics.t list
+  (** A snapshot of every counter of the deployment: the driver's two
+      layers, the
+      {!Sentinel.Counter}s and {!Store.Fault.Counter}s (zeros without
+      [intrusion] or [storage_faults]), the {!Member.Counter}s summed
+      over members, and the leader process's {!Manager.counters},
+      summed across incarnations. *)
+
+  (** Report rows, in rendering order. *)
+
+  val retry_row : Metrics.key list  (** The {!Counter.retry} layer. *)
+
+  val recovery_row : Metrics.key list
+  (** Crash recovery and anti-entropy, with the sessions recovered and
+      resyncs served by the leader and the members' divergences. *)
+
+  val storage_row : Metrics.key list
+  (** What the storage-fault layer did: injections, EIO retries
+      absorbed by the journals, and crash images replayed. *)
+
+  val resource_row : Metrics.key list
+  (** Degraded-mode ladder entries, records shed under byte budgets,
+      ENOSPC refusals and the worst fsync stall. *)
+
+  val sentinel_row : Metrics.key list
+  (** The sentinel's counters with the pre-auth door's. *)
+
+  val delivery_row : Metrics.key list
+  (** Store-and-forward counters with the members' dedup count. *)
+
+  val delivery_stats : t -> Netsim.Stats.delivery
+  (** {!delivery_row}'s values as a record. *)
 end
 
 module Legacy : sig

@@ -70,7 +70,7 @@ type t = {
   config : config;
   directory : (Types.agent * string) list;
   repl_key : Key.t;
-  counters : Replication.counters;
+  counters : Metrics.t;  (* the {!Replication.Counter}s of the run *)
   managers : manager array;
   members : (Types.agent, member_slot) Hashtbl.t;
   mutable failovers : int;
@@ -399,7 +399,7 @@ let demote t mgr ~term ~primary_name =
   match mgr.source with
   | None -> ()
   | Some s ->
-      t.counters.demotions <- t.counters.demotions + 1;
+      Metrics.incr t.counters Replication.Counter.demotions;
       Replication.Source.detach s;
       (match Manager.journal mgr.proc with
       | Some j ->
@@ -517,10 +517,9 @@ let promote t mgr =
             t.config.warm_failover && state.Journal.sessions <> [])
       in
       (match restart.Manager.path with
-      | Manager.Warm ->
-          t.counters.warm_promotions <- t.counters.warm_promotions + 1
+      | Manager.Warm -> Metrics.incr t.counters Replication.Counter.warm_promotions
       | Manager.Cold | Manager.Fresh ->
-          t.counters.cold_promotions <- t.counters.cold_promotions + 1);
+          Metrics.incr t.counters Replication.Counter.cold_promotions);
       make_source t mgr ~term;
       wire_delivery mgr;
       wire_sentinel mgr;
@@ -564,7 +563,7 @@ let create ?(seed = 77L) ?(config = default_config) ?delivery ?intrusion
   let sim = Netsim.Sim.create ~seed () in
   let net = Netsim.Network.create ~sim () in
   let rng = Netsim.Sim.rng sim in
-  let counters = Replication.fresh_counters () in
+  let counters = Metrics.create Replication.Counter.layer in
   let repl_key = Key.fresh Key.Long_term rng in
   let mk_manager idx name =
     {
@@ -689,7 +688,7 @@ let connected_members t =
 
 let failovers t = t.failovers
 let failbacks t = t.failbacks
-let demotions t = t.counters.Replication.demotions
+let demotions t = Metrics.get t.counters Replication.Counter.demotions
 
 type role =
   | Primary of { term : int }
@@ -735,24 +734,7 @@ let sentinel t who = Manager.sentinel (find_manager t who).proc
 let replica_suspicion t who =
   Option.bind (find_manager t who).replica Replication.Replica.suspicion
 
-let replication_stats t = Replication.snapshot_counters t.counters
-
-(* The live primary's store-and-forward counters, plus the members'
-   cumulative dedup counts — those survive promotions because the
-   delivery floor lives at the member. *)
-let delivery_stats t =
-  let base = ref Netsim.Stats.empty_delivery in
-  Array.iter
-    (fun mgr ->
-      if (not (crashed mgr)) && mgr.source <> None then
-        base := (Manager.counters mgr.proc).Manager.delivery)
-    t.managers;
-  let deduped =
-    Hashtbl.fold
-      (fun _ slot acc -> acc + Member.deliveries_deduped slot.automaton)
-      t.members 0
-  in
-  { !base with Netsim.Stats.deduped }
+let replication t = t.counters
 
 let replica_queue_images t who =
   match (find_manager t who).replica with

@@ -61,7 +61,10 @@
     never fires because the challenge lands well inside their patience
     budget). Only when the replica is unusable — or a member's
     challenge goes unanswered past the garbage-collection deadline —
-    does that member fall back to the cold re-join path above. Each
+    does that member fall back to the cold re-join path above. The
+    source and every replica count into one shared instance of the
+    {!Replication.Counter} layer, which also counts promotions and
+    demotions ({!replication}). Each
     manager also persists a durable {e epoch vault}
     ({!Store.Vault}), so a cold promotion (or cold restart) beacons an
     epoch at least as new as any member's even if the journal tail
@@ -277,18 +280,11 @@ val failbacks : t -> int
 (** Members that returned to the preferred primary after riding out a
     partition on a successor. *)
 
-val replication_stats : t -> Netsim.Stats.replication
-(** The run's aggregated replication counters: records and snapshots
-    shipped, acks, gap fetches, rejected forged/replayed/stale frames,
-    and warm vs cold promotions. *)
-
-val delivery_stats : t -> Netsim.Stats.delivery
-(** The live primary's store-and-forward counters, summed over that
-    manager's own incarnations ({!Manager.counters}: a backup runs no
-    delivery layer, so this counts from its promotion unless it was
-    primary before), plus the members' cumulative dedup counts, which
-    survive promotions because the delivery floor lives at the member.
-    All zeros when no delivery policy was given. *)
+val replication : t -> Metrics.t
+(** The run's {!Replication.Counter}s, aggregated over every source and
+    replica: records and snapshots shipped, acks, gap fetches, rejected
+    forged/replayed/stale frames, demotions and warm vs cold
+    promotions. *)
 
 val replica_queue_images : t -> Types.agent -> (string * string) list
 (** A backup's mirrored delivery-queue images (empty for a source or a

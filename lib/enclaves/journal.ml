@@ -154,13 +154,18 @@ let default_mac_key = "enclaves-journal"  (* 16 bytes, public: integrity
 
 type event = Appended of string | Published of string
 
+module Counter = struct
+  let layer = Metrics.layer "journal"
+  let eio_retries = Metrics.counter layer "eio_retries"
+end
+
 type t = {
   buf : Buffer.t;
   mac : Sym_crypto.Siphash.key;
   compact_every : int;
   disk : Store.Backend.t option;
   file : string;
-  mutable eio_retries : int;
+  counters : Metrics.t;
   mutable st : state;
   mutable nrecords : int;
   mutable next_seq : int;
@@ -194,7 +199,7 @@ let with_retry t f =
   let rec go attempt =
     try f ()
     with Store.Backend.Eio _ when attempt < max_eio_retries ->
-      t.eio_retries <- t.eio_retries + 1;
+      Metrics.incr t.counters Counter.eio_retries;
       go (attempt + 1)
   in
   go 0
@@ -239,7 +244,7 @@ let create ?(mac_key = default_mac_key) ?(compact_every = 256) ?disk
       compact_every;
       disk;
       file;
-      eio_retries = 0;
+      counters = Metrics.create Counter.layer;
       st = empty_state;
       nrecords = 0;
       next_seq = 0;
@@ -259,7 +264,7 @@ let notify t ev = match t.observer with None -> () | Some f -> f ev
 let state t = t.st
 let records t = t.nrecords
 let contents t = Buffer.contents t.buf
-let eio_retries t = t.eio_retries
+let counters t = t.counters
 let file t = t.file
 
 let append_raw t record =

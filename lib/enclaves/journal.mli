@@ -88,7 +88,7 @@ val create :
     anything that replaces the image (creation, compaction)
     stages the full bytes in [file ^ ".tmp"], fsyncs, then atomically
     renames over [file]. Transient [Store.Backend.Eio] is retried a
-    bounded number of times (see {!eio_retries});
+    bounded number of times (see {!Counter.eio_retries});
     [Store.Backend.Crashed] propagates.
     @raise Invalid_argument if [mac_key] is not 16 bytes or
     [compact_every < 1]. *)
@@ -111,8 +111,14 @@ val contents : t -> string
 (** The raw journal bytes — with a [disk] backend, byte-identical to
     the file after every successful fault-free mutation. *)
 
-val eio_retries : t -> int
-(** Transient-EIO retries absorbed by the write-through path so far. *)
+module Counter : sig
+  val layer : Metrics.layer
+
+  val eio_retries : Metrics.key
+  (** Transient-EIO retries absorbed by the write-through path. *)
+end
+
+val counters : t -> Metrics.t
 
 val file : t -> string
 (** The backing file name (meaningful only with a [disk] backend). *)

@@ -88,6 +88,15 @@ type session = {
   mutable sent_rev : Wire.Admin.t list;  (* snd_A, newest first *)
 }
 
+module Counter = struct
+  let layer = Metrics.layer "leader"
+  let c = Metrics.counter layer
+  let sessions_recovered = c "sessions_recovered"
+  let resyncs_served = c "resyncs_served"
+  let degraded_entries = c "degraded_entries"
+  let rearms = c "rearms"
+end
+
 type t = {
   self : Types.agent;
   rng : Prng.Splitmix.t;
@@ -99,8 +108,6 @@ type t = {
   mutable group_key : Types.group_key option;
   mutable next_epoch : int;
   mutable events_rev : event list;
-  mutable recoveries : int;
-  mutable resyncs : int;
   (* Cold-restart beacon state: [Some epoch] marks this incarnation as
      cold-restarted (the only incarnation that answers beacon
      challenges); [cold_nb] holds the fresh nonce each beacon carried. *)
@@ -127,8 +134,7 @@ type t = {
      "degraded:<mode>" notice the next sweep broadcasts, [sheds_seen]
      is the delivery shed counter already accounted for. *)
   mutable mode : mode;
-  mutable degraded_entries : int;
-  mutable rearms : int;
+  counters : Metrics.t;
   mutable mode_notice_due : bool;
   mutable sheds_seen : int;
 }
@@ -153,8 +159,6 @@ let create_with_keys ~self ~rng ~directory ?(policy = default_policy) ?journal
     group_key = None;
     next_epoch = 1;
     events_rev = [];
-    recoveries = 0;
-    resyncs = 0;
     beacon_epoch = None;
     cold_nb = Hashtbl.create 8;
     delivery;
@@ -163,8 +167,7 @@ let create_with_keys ~self ~rng ~directory ?(policy = default_policy) ?journal
     contained_done = Hashtbl.create 8;
     rx_via = None;
     mode = Healthy;
-    degraded_entries = 0;
-    rearms = 0;
+    counters = Metrics.create Counter.layer;
     mode_notice_due = false;
     sheds_seen = 0;
   }
@@ -182,8 +185,7 @@ let create ~self ~rng ~directory ?policy ?journal ?vault ?delivery ?sentinel ()
 (* --- the degraded-mode ladder --- *)
 
 let mode t = t.mode
-let degraded_entries t = t.degraded_entries
-let rearms t = t.rearms
+let counters t = t.counters
 
 let durability_armed t =
   (match t.journal with Some j -> Journal.durable j | None -> true)
@@ -192,7 +194,7 @@ let durability_armed t =
 let degrade t m =
   if mode_rank m > mode_rank t.mode then begin
     t.mode <- m;
-    t.degraded_entries <- t.degraded_entries + 1;
+    Metrics.incr t.counters Counter.degraded_entries;
     t.mode_notice_due <- true
   end
 
@@ -243,7 +245,9 @@ let note_delivery_pressure t =
   | Some d ->
       if not t.policy.degrade then ()
       else begin
-        let shed = (Delivery.counters d).Delivery.records_shed in
+        let shed =
+          Metrics.get (Delivery.counters d) Delivery.Counter.records_shed
+        in
         if shed > t.sheds_seen then begin
           t.sheds_seen <- shed;
           degrade t Shedding
@@ -297,7 +301,7 @@ let try_rearm t =
     let ok = journal_ok && delivery_ok () && vault_ok () in
     if ok then begin
       t.mode <- Healthy;
-      t.rearms <- t.rearms + 1;
+      Metrics.incr t.counters Counter.rearms;
       t.mode_notice_due <- true
     end;
     ok
@@ -426,8 +430,7 @@ let fire_admin t who s x ~na ~ka =
         Some gk )
       when epoch < gk.Types.epoch ->
         (match t.delivery with
-        | Some d -> (Delivery.counters d).Delivery.resealed <-
-            (Delivery.counters d).Delivery.resealed + 1
+        | Some d -> Metrics.incr (Delivery.counters d) Delivery.Counter.resealed
         | None -> ());
         Wire.Admin.Queued
           {
@@ -992,7 +995,7 @@ let handle_view_resync_req t (frame : F.t) =
                   enqueue_admin t claimed
                     (Wire.Admin.View_digest { digest = mine; epoch = my_epoch })
                 else begin
-                  t.resyncs <- t.resyncs + 1;
+                  Metrics.incr t.counters Counter.resyncs_served;
                   emit t (Resync_served claimed);
                   let rekeys =
                     match t.group_key with
@@ -1019,8 +1022,6 @@ let handle_view_resync_req t (frame : F.t) =
 
 (* --- warm crash recovery --- *)
 
-let recoveries t = t.recoveries
-let resyncs_served t = t.resyncs
 
 let challenge t who ka =
   let nc = Wire.Nonce.fresh t.rng in
@@ -1187,7 +1188,7 @@ let handle_recovery_response t (frame : F.t) =
                    challenge: re-admit it and re-seed the admin nonce
                    chain from its fresh nonce. *)
                 s.mstate <- S_connected { na = next; ka };
-                t.recoveries <- t.recoveries + 1;
+                Metrics.incr t.counters Counter.sessions_recovered;
                 emit t (Member_recovered claimed);
                 (* Warm reconnect over the existing session: drain the
                    member's store-and-forward backlog into the channel

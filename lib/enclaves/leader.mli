@@ -64,12 +64,6 @@ val mode_name : mode -> string
 val mode_rank : mode -> int
 (** [Healthy] is 0; higher is worse. *)
 
-val degraded_entries : t -> int
-(** Ladder transitions taken downward, lifetime. *)
-
-val rearms : t -> int
-(** Successful recoveries to [Healthy], lifetime. *)
-
 val durability_armed : t -> bool
 (** Whether the journal and delivery mirrors are currently writing
     through ([false] exactly in memory-only operation). *)
@@ -314,11 +308,23 @@ val view_digest : t -> string
 (** {!Wire.Admin.view_digest} of the current member list and key
     epoch. *)
 
-val recoveries : t -> int
-(** Sessions recovered warm (challenges answered) since creation. *)
+(** What this incarnation did; {!Manager} banks the counts of dead
+    incarnations. *)
+module Counter : sig
+  val layer : Metrics.layer
 
-val resyncs_served : t -> int
-(** Divergent view digests repaired since creation. *)
+  val sessions_recovered : Metrics.key
+  (** Sessions recovered warm (challenges answered). *)
+
+  val resyncs_served : Metrics.key  (** Divergent view digests repaired. *)
+
+  val degraded_entries : Metrics.key
+  (** Degraded-mode ladder transitions taken downward. *)
+
+  val rearms : Metrics.key  (** Successful recoveries to [Healthy]. *)
+end
+
+val counters : t -> Metrics.t
 
 val abort_half_open : t -> Types.agent -> bool
 (** Garbage-collect a half-open handshake: reset the session to

@@ -15,50 +15,15 @@ type image = {
   queue_images : (string * string) list option;
 }
 
-type counters = {
-  recoveries : int;
-  resyncs_served : int;
-  degraded_entries : int;
-  rearms : int;
-  records_shed : int;
-  eio_retries : int;
-  crash_images : int;
-  delivery : Netsim.Stats.delivery;
-}
+module Counter = struct
+  let layer = Metrics.layer "manager"
+  let crash_images_replayed = Metrics.counter layer "crash_images_replayed"
+end
 
-let zero =
-  {
-    recoveries = 0;
-    resyncs_served = 0;
-    degraded_entries = 0;
-    rearms = 0;
-    records_shed = 0;
-    eio_retries = 0;
-    crash_images = 0;
-    delivery = Netsim.Stats.empty_delivery;
-  }
-
-let add a b =
-  let x = a.delivery and y = b.delivery in
-  {
-    recoveries = a.recoveries + b.recoveries;
-    resyncs_served = a.resyncs_served + b.resyncs_served;
-    degraded_entries = a.degraded_entries + b.degraded_entries;
-    rearms = a.rearms + b.rearms;
-    records_shed = a.records_shed + b.records_shed;
-    eio_retries = a.eio_retries + b.eio_retries;
-    crash_images = a.crash_images + b.crash_images;
-    delivery =
-      {
-        Netsim.Stats.queued = x.queued + y.queued;
-        drained = x.drained + y.drained;
-        deduped = x.deduped + y.deduped;
-        resealed = x.resealed + y.resealed;
-        rejected_stale = x.rejected_stale + y.rejected_stale;
-        delivered_stale = x.delivered_stale + y.delivered_stale;
-        queue_bytes_hwm = max x.queue_bytes_hwm y.queue_bytes_hwm;
-      };
-  }
+(* The counters that die with an incarnation — its leader automaton,
+   journal and delivery layer — in this order. *)
+let incarnation_layers =
+  [ Leader.Counter.layer; Journal.Counter.layer; Delivery.Counter.layer ]
 
 type t = {
   net : Netsim.Network.t;
@@ -82,11 +47,12 @@ type t = {
   mutable down : bool;
   mutable handler : (string -> unit) option;
   mutable crash_image : image option;
-  mutable banked : counters;
-      (* Counters of dead incarnations: they die with the automaton,
-         journal or delivery layer that held them. (The degraded-mode
-         ladder's state dies too: a rebuilt leader starts Healthy,
-         re-probes storage and re-degrades if the pressure holds.) *)
+  own : Metrics.t;  (* the process's {!Counter}s *)
+  banked : Metrics.t list;
+      (* Counters of dead incarnations, one per {!incarnation_layers}.
+         (The degraded-mode ladder's state dies too: a rebuilt leader
+         starts Healthy, re-probes storage and re-degrades if the
+         pressure holds.) *)
 }
 
 let open_journal ~primary backend =
@@ -149,7 +115,8 @@ let create ~sim ~net ~name ~directory ?policy ~disk ?faults ?delivery
     down = false;
     handler = None;
     crash_image = None;
-    banked = zero;
+    own = Metrics.create Counter.layer;
+    banked = List.map Metrics.create incarnation_layers;
   }
 
 let register m =
@@ -193,32 +160,23 @@ let crash m =
   end
 
 let live m =
-  let c = Option.map Delivery.counters m.delivery in
-  let count f = Option.fold ~none:0 ~some:f c in
-  {
-    recoveries = Leader.recoveries m.leader;
-    resyncs_served = Leader.resyncs_served m.leader;
-    degraded_entries = Leader.degraded_entries m.leader;
-    rearms = Leader.rearms m.leader;
-    records_shed = count (fun c -> c.Delivery.records_shed);
-    eio_retries = Option.fold ~none:0 ~some:Journal.eio_retries m.journal;
-    crash_images = 0;
-    delivery =
-      {
-        Netsim.Stats.queued = count (fun c -> c.Delivery.queued);
-        drained = count (fun c -> c.Delivery.drained);
-        deduped = 0;
-        resealed = count (fun c -> c.Delivery.resealed);
-        rejected_stale = count (fun c -> c.Delivery.rejected_stale);
-        delivered_stale = count (fun c -> c.Delivery.delivered_stale);
-        queue_bytes_hwm = count (fun c -> c.Delivery.queue_bytes_hwm);
-      };
-  }
+  [
+    Some (Leader.counters m.leader);
+    Option.map Journal.counters m.journal;
+    Option.map Delivery.counters m.delivery;
+  ]
 
 (* Bank the live incarnation's counters; every caller then replaces the
    leader, journal and delivery layer they were read from. *)
-let retire m = m.banked <- add m.banked (live m)
-let counters m = add m.banked (live m)
+let retire m =
+  List.iter2 (fun into -> Option.iter (Metrics.bank ~into)) m.banked (live m)
+
+let counters m =
+  Metrics.sum Counter.layer [ m.own ]
+  :: List.map2
+       (fun (layer, banked) live -> Metrics.sum layer (banked :: Option.to_list live))
+       (List.combine incarnation_layers m.banked)
+       (live m)
 
 let fresh_leader m =
   Leader.create ~self:m.name ~rng:m.rng ~directory:m.directory
@@ -252,7 +210,7 @@ let restart ?journal_image ?queue_images ~warm m =
     match (journal_image, Option.bind crash (fun c -> c.journal_image)) with
     | (Some _ as b), _ -> b
     | None, (Some _ as b) ->
-        m.banked <- { m.banked with crash_images = m.banked.crash_images + 1 };
+        Metrics.incr m.own Counter.crash_images_replayed;
         b
     | None, None -> Option.map Journal.contents m.journal
   in

@@ -113,18 +113,19 @@ val vault : t -> Store.Vault.t option
 val delivery : t -> Delivery.t option
 val sentinel : t -> Sentinel.t option
 
-(** Counters summed across incarnations. *)
-type counters = {
-  recoveries : int;  (** Sessions recovered warm. *)
-  resyncs_served : int;  (** Divergent views repaired. *)
-  degraded_entries : int;  (** Degraded-mode ladder rung entries. *)
-  rearms : int;  (** Re-arms back to [Healthy]. *)
-  records_shed : int;  (** Queue records shed under byte budgets. *)
-  eio_retries : int;  (** EIO retries absorbed by the journals. *)
-  crash_images : int;  (** Restarts recovered from a crash image. *)
-  delivery : Netsim.Stats.delivery;
-      (** Store-and-forward counters. The high-water mark is a max; the
-          member-side [deduped] count is left at 0. *)
-}
+(** {2 Counters} *)
 
-val counters : t -> counters
+module Counter : sig
+  val layer : Metrics.layer
+
+  val crash_images_replayed : Metrics.key
+  (** Restarts that recovered from a captured durable crash image
+      rather than the live in-memory journal. *)
+end
+
+val counters : t -> Metrics.t list
+(** A snapshot of every counter of the process, each summed across its
+    incarnations ({!Metrics.bank}): the process's own {!Counter}s, then
+    the
+    {!Leader.Counter}, {!Journal.Counter} and {!Delivery.Counter}
+    layers (all zeros for parts the process never ran). *)

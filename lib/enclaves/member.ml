@@ -42,6 +42,12 @@ type state_view =
   | Waiting_for_key of Wire.Nonce.t
   | Connected of Wire.Nonce.t * Key.t
 
+module Counter = struct
+  let layer = Metrics.layer "member"
+  let divergences_detected = Metrics.counter layer "divergences_detected"
+  let deduped = Metrics.counter layer "deduped"
+end
+
 type t = {
   self : Types.agent;
   mutable leader : Types.agent;
@@ -72,12 +78,11 @@ type t = {
   mutable beacon_reset_pending : bool;
   (* Anti-entropy counters (cumulative across sessions). *)
   mutable digests_seen : int;
-  mutable divergences : int;
   (* Store-and-forward delivery state (cumulative across sessions —
      the floor MUST survive a session reset, or a redelivery after a
      reconnect would apply twice). *)
   mutable delivery_floor : int;
-  mutable deliveries_deduped : int;
+  counters : Metrics.t;
   mutable stale_deliveries : int;
   mutable queued_applied_rev : int list;
 }
@@ -103,9 +108,8 @@ let create_with_key ~self ~leader ~long_term ~rng =
     pending_cold = None;
     beacon_reset_pending = false;
     digests_seen = 0;
-    divergences = 0;
     delivery_floor = 0;
-    deliveries_deduped = 0;
+    counters = Metrics.create Counter.layer;
     stale_deliveries = 0;
     queued_applied_rev = [];
   }
@@ -193,9 +197,8 @@ let own_epoch t =
 
 let own_digest t = Wire.Admin.view_digest ~members:t.view ~epoch:(own_epoch t)
 let digests_seen t = t.digests_seen
-let view_divergences t = t.divergences
 let delivery_floor t = t.delivery_floor
-let deliveries_deduped t = t.deliveries_deduped
+let counters t = t.counters
 let stale_deliveries t = t.stale_deliveries
 let queued_applied t = List.rev t.queued_applied_rev
 
@@ -257,13 +260,13 @@ let rec apply_effect t (x : Wire.Admin.t) =
         t.digests_seen <- t.digests_seen + 1;
         if String.equal digest (own_digest t) && epoch = own_epoch t then []
         else begin
-          t.divergences <- t.divergences + 1;
+          Metrics.incr t.counters Counter.divergences_detected;
           emit t (View_diverged { leader_epoch = epoch });
           resync_request t
         end
     | Wire.Admin.Queued { seq; stale; x = inner } ->
         if seq < t.delivery_floor then begin
-          t.deliveries_deduped <- t.deliveries_deduped + 1;
+          Metrics.incr t.counters Counter.deduped;
           []
         end
         else begin

@@ -128,17 +128,26 @@ val resync_request : t -> Wire.Frame.t list
 val digests_seen : t -> int
 (** [View_digest] beacons accepted (cumulative). *)
 
-val view_divergences : t -> int
-(** Beacons that mismatched this member's own view (cumulative). *)
-
 val delivery_floor : t -> int
 (** Store-and-forward dedup floor: every [Queued] wrapper with a seq
     below this has been applied. Cumulative — survives session resets,
     so at-least-once redelivery after a reconnect is absorbed rather
     than applied twice. *)
 
-val deliveries_deduped : t -> int
-(** Drained [Queued] records skipped as duplicates (cumulative). *)
+(** Counters cumulative across sessions; a deployment sums them over
+    its members. *)
+module Counter : sig
+  val layer : Metrics.layer
+
+  val divergences_detected : Metrics.key
+  (** Beacons that mismatched this member's own view. *)
+
+  val deduped : Metrics.key
+  (** Drained [Queued] records skipped as duplicates by the delivery
+      floor. *)
+end
+
+val counters : t -> Metrics.t
 
 val stale_deliveries : t -> int
 (** Drained records marked stale by the leader's epoch-window policy —

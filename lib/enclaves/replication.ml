@@ -35,57 +35,23 @@ let split_queue_data data =
       Some
         (String.sub data 0 i, String.sub data (i + 1) (String.length data - i - 1))
 
-type counters = {
-  mutable records_shipped : int;
-  mutable records_acked : int;
-  mutable snapshots_shipped : int;
-  mutable heartbeats_shipped : int;
-  mutable gap_fetches : int;
-  mutable rejected_forged : int;
-  mutable rejected_replayed : int;
-  mutable rejected_stale : int;
-  mutable stale_notices : int;
-  mutable stale_sourcing_stopped : int;
-  mutable demotions : int;
-  mutable warm_promotions : int;
-  mutable cold_promotions : int;
-  mutable lag_snapshots : int;
-}
-
-let fresh_counters () =
-  {
-    records_shipped = 0;
-    records_acked = 0;
-    snapshots_shipped = 0;
-    heartbeats_shipped = 0;
-    gap_fetches = 0;
-    rejected_forged = 0;
-    rejected_replayed = 0;
-    rejected_stale = 0;
-    stale_notices = 0;
-    stale_sourcing_stopped = 0;
-    demotions = 0;
-    warm_promotions = 0;
-    cold_promotions = 0;
-    lag_snapshots = 0;
-  }
-
-let snapshot_counters c : Netsim.Stats.replication =
-  {
-    records_shipped = c.records_shipped;
-    records_acked = c.records_acked;
-    snapshots_shipped = c.snapshots_shipped;
-    heartbeats_shipped = c.heartbeats_shipped;
-    gap_fetches = c.gap_fetches;
-    rejected_forged = c.rejected_forged;
-    rejected_replayed = c.rejected_replayed;
-    rejected_stale = c.rejected_stale;
-    stale_notices = c.stale_notices;
-    stale_sourcing_stopped = c.stale_sourcing_stopped;
-    demotions = c.demotions;
-    warm_promotions = c.warm_promotions;
-    cold_promotions = c.cold_promotions;
-  }
+module Counter = struct
+  let layer = Metrics.layer "replication"
+  let c = Metrics.counter layer
+  let records_shipped = c "records_shipped"
+  let records_acked = c "records_acked"
+  let snapshots_shipped = c "snapshots_shipped"
+  let heartbeats_shipped = c "heartbeats_shipped"
+  let gap_fetches = c "gap_fetches"
+  let rejected_forged = c "rejected_forged"
+  let rejected_replayed = c "rejected_replayed"
+  let rejected_stale = c "rejected_stale"
+  let stale_notices = c "stale_notices"
+  let stale_sourcing_stopped = c "stale_sourcing_stopped"
+  let demotions = c "demotions"
+  let warm_promotions = c "warm_promotions"
+  let cold_promotions = c "cold_promotions"
+end
 
 module Source = struct
   type t = {
@@ -96,7 +62,7 @@ module Source = struct
     rng : Prng.Splitmix.t;
     send : F.t -> unit;
     journal : Journal.t;
-    counters : counters;
+    counters : Metrics.t;
     (* Per-term sequence space. [image_seq] is the sequence number of
        the most recent full-image publish; [ops] holds the typed ops
        after it (journal append chunks and delivery-queue images).
@@ -141,11 +107,11 @@ module Source = struct
 
   let bump_ship_counter t = function
     | P.Repl_snapshot ->
-        t.counters.snapshots_shipped <- t.counters.snapshots_shipped + 1
+        Metrics.incr t.counters Counter.snapshots_shipped
     | P.Repl_heartbeat ->
-        t.counters.heartbeats_shipped <- t.counters.heartbeats_shipped + 1
+        Metrics.incr t.counters Counter.heartbeats_shipped
     | P.Repl_append | P.Repl_queue | P.Repl_suspicion ->
-        t.counters.records_shipped <- t.counters.records_shipped + 1
+        Metrics.incr t.counters Counter.records_shipped
 
   let ship t ~seq ~op ~data =
     List.iter
@@ -224,15 +190,15 @@ module Source = struct
               max acc (t.next_seq - upto))
             0 t.backups
         in
-        if t.next_seq - t.image_seq > budget && worst > budget then begin
-          t.counters.lag_snapshots <- t.counters.lag_snapshots + 1;
+        if t.next_seq - t.image_seq > budget && worst > budget then
           on_journal_event t (Journal.Published (Journal.contents t.journal))
-        end
 
   let create ~self ~backups ~term ~key ~rng ~send ~journal
       ?(on_superseded = fun ~term:_ ~primary:_ -> ()) ?counters ?lag_budget ()
       =
-    let counters = match counters with Some c -> c | None -> fresh_counters () in
+    let counters =
+      match counters with Some c -> c | None -> Metrics.create Counter.layer
+    in
     let t =
       {
         self;
@@ -269,7 +235,7 @@ module Source = struct
   let heartbeat t =
     List.iter
       (fun b ->
-        t.counters.heartbeats_shipped <- t.counters.heartbeats_shipped + 1;
+        Metrics.incr t.counters Counter.heartbeats_shipped;
         t.send
           (record_frame t ~recipient:b ~seq:t.next_seq ~op:P.Repl_heartbeat
              ~data:""))
@@ -279,8 +245,6 @@ module Source = struct
 
   let lag t =
     List.map (fun b -> (b, max 0 (t.next_seq - acked t b))) t.backups
-
-  let lag_snapshots t = t.counters.lag_snapshots
 
   (* The longest journal byte-prefix some backup acknowledged under
      this term — what a demoting source keeps when it discards its
@@ -299,13 +263,12 @@ module Source = struct
   let supersede t ~term ~primary =
     if not t.superseded then begin
       t.superseded <- true;
-      t.counters.stale_sourcing_stopped <-
-        t.counters.stale_sourcing_stopped + 1;
+      Metrics.incr t.counters Counter.stale_sourcing_stopped;
       t.on_superseded ~term ~primary
     end
 
   let stale_notice t ~to_ ~stale_term =
-    t.counters.stale_notices <- t.counters.stale_notices + 1;
+    Metrics.incr t.counters Counter.stale_notices;
     seal t ~recipient:to_ ~label:F.Repl_stale
       (P.encode_repl_stale
          { P.b = t.self; l = to_; stale_term; term = t.term; primary = t.self })
@@ -317,7 +280,7 @@ module Source = struct
   let resend t ~backup ~from_ =
     let start =
       if from_ <= t.image_seq then begin
-        t.counters.snapshots_shipped <- t.counters.snapshots_shipped + 1;
+        Metrics.incr t.counters Counter.snapshots_shipped;
         t.send
           (record_frame t ~recipient:backup ~seq:t.image_seq
              ~op:P.Repl_snapshot ~data:t.last_image);
@@ -333,11 +296,11 @@ module Source = struct
       | None -> ()
     done
 
-  let forged t = t.counters.rejected_forged <- t.counters.rejected_forged + 1
+  let forged t = Metrics.incr t.counters Counter.rejected_forged
 
   let handle_frame t (frame : F.t) =
     match Sealed_channel.open_ ~key:t.key frame with
-    | Error _ -> t.counters.rejected_forged <- t.counters.rejected_forged + 1
+    | Error _ -> Metrics.incr t.counters Counter.rejected_forged
     | Ok plain -> (
         match frame.F.label with
         | F.Repl_stale -> (
@@ -355,34 +318,33 @@ module Source = struct
                 if n.P.l <> t.self || n.P.b <> frame.F.sender then forged t
                 else if n.P.stale_term <> t.term || n.P.term <= n.P.stale_term
                 then
-                  t.counters.rejected_replayed <-
-                    t.counters.rejected_replayed + 1
+                  Metrics.incr t.counters Counter.rejected_replayed
                 else supersede t ~term:n.P.term ~primary:n.P.primary)
         | F.Repl_ack -> (
             match P.decode_repl_ack plain with
             | Error _ ->
-                t.counters.rejected_forged <- t.counters.rejected_forged + 1
+                Metrics.incr t.counters Counter.rejected_forged
             | Ok a ->
                 if a.P.b <> frame.F.sender || a.P.l <> t.self then
-                  t.counters.rejected_forged <- t.counters.rejected_forged + 1
+                  Metrics.incr t.counters Counter.rejected_forged
                 else if a.P.term <> t.term then
-                  t.counters.rejected_stale <- t.counters.rejected_stale + 1
+                  Metrics.incr t.counters Counter.rejected_stale
                 else begin
-                  t.counters.records_acked <- t.counters.records_acked + 1;
+                  Metrics.incr t.counters Counter.records_acked;
                   if a.P.upto > acked t a.P.b then
                     Hashtbl.replace t.acked a.P.b a.P.upto
                 end)
         | F.Repl_fetch -> (
             match P.decode_repl_fetch plain with
             | Error _ ->
-                t.counters.rejected_forged <- t.counters.rejected_forged + 1
+                Metrics.incr t.counters Counter.rejected_forged
             | Ok f ->
                 if f.P.b <> frame.F.sender || f.P.l <> t.self then
-                  t.counters.rejected_forged <- t.counters.rejected_forged + 1
+                  Metrics.incr t.counters Counter.rejected_forged
                 else if f.P.term <> t.term then
-                  t.counters.rejected_stale <- t.counters.rejected_stale + 1
+                  Metrics.incr t.counters Counter.rejected_stale
                 else resend t ~backup:f.P.b ~from_:f.P.from_)
-        | _ -> t.counters.rejected_forged <- t.counters.rejected_forged + 1)
+        | _ -> Metrics.incr t.counters Counter.rejected_forged)
 
   (* A [Repl_record] arriving at a manager that is itself sourcing:
      either a zombie peer still shipping a dead term (tell it to stand
@@ -402,12 +364,12 @@ module Source = struct
             else if r.P.term > t.term then
               supersede t ~term:r.P.term ~primary:r.P.l
             else if r.P.term < t.term then begin
-              t.counters.rejected_stale <- t.counters.rejected_stale + 1;
+              Metrics.incr t.counters Counter.rejected_stale;
               t.send (stale_notice t ~to_:r.P.l ~stale_term:r.P.term)
             end
             else forged t)
 
-  let stats t = snapshot_counters t.counters
+  let counters t = t.counters
 end
 
 module Replica = struct
@@ -417,7 +379,7 @@ module Replica = struct
     rng : Prng.Splitmix.t;
     disk : Store.Backend.t option;
     file : string;
-    counters : counters;
+    counters : Metrics.t;
     buf : Buffer.t;
     (* Latest delivery-queue image per file, mirrored from the primary
        so a promotion can rebuild the store-and-forward layer. *)
@@ -431,16 +393,14 @@ module Replica = struct
     mutable term : int;
     mutable expected : int;
     mutable fresh_activity : bool;
-    mutable eio_retries : int;
   }
 
   let max_eio_retries = 8
 
-  let with_retry t f =
+  let with_retry f =
     let rec go attempt =
       try f ()
       with Store.Backend.Eio _ when attempt < max_eio_retries ->
-        t.eio_retries <- t.eio_retries + 1;
         go (attempt + 1)
     in
     go 0
@@ -449,8 +409,8 @@ module Replica = struct
     match t.disk with
     | None -> ()
     | Some d ->
-        with_retry t (fun () -> Store.Backend.pwrite d ~file:t.file ~off bytes);
-        with_retry t (fun () -> Store.Backend.fsync d ~file:t.file)
+        with_retry (fun () -> Store.Backend.pwrite d ~file:t.file ~off bytes);
+        with_retry (fun () -> Store.Backend.fsync d ~file:t.file)
 
   let disk_publish t =
     match t.disk with
@@ -458,16 +418,18 @@ module Replica = struct
     | Some d ->
         let bytes = Buffer.contents t.buf in
         let tmp = t.file ^ ".tmp" in
-        with_retry t (fun () -> Store.Backend.remove d ~file:tmp);
-        with_retry t (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 bytes);
-        with_retry t (fun () -> Store.Backend.fsync d ~file:tmp);
-        with_retry t (fun () -> Store.Backend.rename d ~src:tmp ~dst:t.file)
+        with_retry (fun () -> Store.Backend.remove d ~file:tmp);
+        with_retry (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 bytes);
+        with_retry (fun () -> Store.Backend.fsync d ~file:tmp);
+        with_retry (fun () -> Store.Backend.rename d ~src:tmp ~dst:t.file)
 
   let default_file = "journal_replica"
 
   let create ~self ~primary ~key ~rng ?disk ?(file = default_file) ?(term = 0)
       ?counters () =
-    let counters = match counters with Some c -> c | None -> fresh_counters () in
+    let counters =
+      match counters with Some c -> c | None -> Metrics.create Counter.layer
+    in
     {
       self;
       key;
@@ -482,7 +444,6 @@ module Replica = struct
       term;
       expected = 0;
       fresh_activity = false;
-      eio_retries = 0;
     }
 
   let contents t = Buffer.contents t.buf
@@ -490,7 +451,6 @@ module Replica = struct
   let term t = t.term
   let expected t = t.expected
   let file t = t.file
-  let eio_retries t = t.eio_retries
 
   let take_activity t =
     let a = t.fresh_activity in
@@ -504,7 +464,7 @@ module Replica = struct
   let seal t ~label payload = seal_to t ~recipient:t.primary ~label payload
 
   let stale_notice t ~to_ ~stale_term =
-    t.counters.stale_notices <- t.counters.stale_notices + 1;
+    Metrics.incr t.counters Counter.stale_notices;
     seal_to t ~recipient:to_ ~label:F.Repl_stale
       (P.encode_repl_stale
          {
@@ -521,7 +481,7 @@ module Replica = struct
          { P.b = t.self; l = t.primary; term = t.term; upto = t.expected })
 
   let fetch t =
-    t.counters.gap_fetches <- t.counters.gap_fetches + 1;
+    Metrics.incr t.counters Counter.gap_fetches;
     seal t ~label:F.Repl_fetch
       (P.encode_repl_fetch
          { P.b = t.self; l = t.primary; term = t.term; from_ = t.expected })
@@ -542,10 +502,10 @@ module Replica = struct
     | None -> ()
     | Some d ->
         let tmp = file ^ ".tmp" in
-        with_retry t (fun () -> Store.Backend.remove d ~file:tmp);
-        with_retry t (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 image);
-        with_retry t (fun () -> Store.Backend.fsync d ~file:tmp);
-        with_retry t (fun () -> Store.Backend.rename d ~src:tmp ~dst:file)
+        with_retry (fun () -> Store.Backend.remove d ~file:tmp);
+        with_retry (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 image);
+        with_retry (fun () -> Store.Backend.fsync d ~file:tmp);
+        with_retry (fun () -> Store.Backend.rename d ~src:tmp ~dst:file)
 
   let queue_images t =
     Hashtbl.fold (fun file image acc -> (file, image) :: acc) t.queues []
@@ -553,7 +513,7 @@ module Replica = struct
 
   let suspicion t = t.suspicion
 
-  let forged t = t.counters.rejected_forged <- t.counters.rejected_forged + 1
+  let forged t = Metrics.incr t.counters Counter.rejected_forged
 
   let handle_frame t (frame : F.t) =
     match Sealed_channel.open_ ~key:t.key frame with
@@ -575,7 +535,7 @@ module Replica = struct
                  the record, answer with the demotion signal: the
                  zombie holds [K_r], so it will verify the notice and
                  stand down (post-heal reconciliation). *)
-              t.counters.rejected_stale <- t.counters.rejected_stale + 1;
+              Metrics.incr t.counters Counter.rejected_stale;
               [ stale_notice t ~to_:r.P.l ~stale_term:r.P.term ]
             end
             else if r.P.term = t.term && t.expected > 0 && r.P.l <> t.primary
@@ -611,8 +571,7 @@ module Replica = struct
                     (* Old frontier: a replayed heartbeat. Not counted as
                        liveness — replays must not starve the promotion
                        watchdog. *)
-                    t.counters.rejected_replayed <-
-                      t.counters.rejected_replayed + 1;
+                    Metrics.incr t.counters Counter.rejected_replayed;
                     []
                   end
               | P.Repl_append ->
@@ -623,8 +582,7 @@ module Replica = struct
                     [ ack t ]
                   end
                   else if r.P.seq < t.expected then begin
-                    t.counters.rejected_replayed <-
-                      t.counters.rejected_replayed + 1;
+                    Metrics.incr t.counters Counter.rejected_replayed;
                     [ ack t ]
                   end
                   else begin
@@ -645,8 +603,7 @@ module Replica = struct
                     [ ack t ]
                   end
                   else if r.P.seq < t.expected then begin
-                    t.counters.rejected_replayed <-
-                      t.counters.rejected_replayed + 1;
+                    Metrics.incr t.counters Counter.rejected_replayed;
                     [ ack t ]
                   end
                   else begin
@@ -661,8 +618,7 @@ module Replica = struct
                     [ ack t ]
                   end
                   else if r.P.seq < t.expected then begin
-                    t.counters.rejected_replayed <-
-                      t.counters.rejected_replayed + 1;
+                    Metrics.incr t.counters Counter.rejected_replayed;
                     [ ack t ]
                   end
                   else begin
@@ -679,11 +635,10 @@ module Replica = struct
                     [ ack t ]
                   end
                   else begin
-                    t.counters.rejected_replayed <-
-                      t.counters.rejected_replayed + 1;
+                    Metrics.incr t.counters Counter.rejected_replayed;
                     [ ack t ]
                   end
             end)
 
-  let stats t = snapshot_counters t.counters
+  let counters t = t.counters
 end

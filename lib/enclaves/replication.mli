@@ -35,7 +35,9 @@
     Only frames that advance the replica (or prove a future frontier)
     register as primary liveness ({!Replica.take_activity}), so
     replayed heartbeats cannot indefinitely suppress the backup's
-    promotion watchdog.
+    promotion watchdog. Everything counted, forged, replayed or stale,
+    goes into a {!Counter} instance ({!Metrics}) that the harness
+    shares between the source and its replicas.
 
     {2 Demotion}
 
@@ -55,33 +57,51 @@
     replayed and dropped. A forged "you are stale" therefore never
     demotes a live primary. *)
 
-type counters = {
-  mutable records_shipped : int;
-  mutable records_acked : int;
-  mutable snapshots_shipped : int;
-  mutable heartbeats_shipped : int;
-  mutable gap_fetches : int;
-  mutable rejected_forged : int;
-  mutable rejected_replayed : int;
-  mutable rejected_stale : int;
-  mutable stale_notices : int;
-  mutable stale_sourcing_stopped : int;
-  mutable demotions : int;
-  mutable warm_promotions : int;
-  mutable cold_promotions : int;
-  mutable lag_snapshots : int;
-      (** Full-image snapshots forced by the source's per-backup lag
-          budget (not by journal compaction or term openings). *)
-}
-(** Shared mutable counters: the failover harness passes one instance
-    to the source and every replica (and bumps the promotion fields
-    itself), so a run's replication activity aggregates in one
-    place. *)
+(** Journal-replication counters. The failover harness passes one
+    instance to the source and every replica (and counts promotions
+    and demotions itself), so a run's replication activity aggregates
+    in one place. *)
+module Counter : sig
+  val layer : Metrics.layer
 
-val fresh_counters : unit -> counters
+  val records_shipped : Metrics.key
+  (** Append frames the primary put on the wire. *)
 
-val snapshot_counters : counters -> Netsim.Stats.replication
-(** Freeze into the immutable report record. *)
+  val records_acked : Metrics.key  (** Ack frames the primary accepted. *)
+
+  val snapshots_shipped : Metrics.key
+  (** Full-image frames (creation, compaction, catch-up, lag budget). *)
+
+  val heartbeats_shipped : Metrics.key
+
+  val gap_fetches : Metrics.key
+  (** Backup-detected gaps that triggered a re-send request. *)
+
+  val rejected_forged : Metrics.key
+  (** Replication frames whose seal failed to open. *)
+
+  val rejected_replayed : Metrics.key
+  (** Duplicate or out-of-window sequence numbers. *)
+
+  val rejected_stale : Metrics.key  (** Frames from a superseded primary term. *)
+
+  val stale_notices : Metrics.key
+  (** [Repl_stale] demotion signals sent back at a superseded source's
+      traffic. *)
+
+  val stale_sourcing_stopped : Metrics.key
+  (** Times a source stopped shipping because an authentic frame proved
+      a strictly higher term exists. *)
+
+  val demotions : Metrics.key
+  (** Sources that stood down and re-attached to the live source as a
+      catching-up replica. *)
+
+  val warm_promotions : Metrics.key  (** Backups promoted from a usable replica. *)
+
+  val cold_promotions : Metrics.key
+  (** Promotions that fell back to cold restart. *)
+end
 
 module Source : sig
   type t
@@ -95,7 +115,7 @@ module Source : sig
     send:(Wire.Frame.t -> unit) ->
     journal:Journal.t ->
     ?on_superseded:(term:int -> primary:Types.agent -> unit) ->
-    ?counters:counters ->
+    ?counters:Metrics.t ->
     ?lag_budget:int ->
     unit ->
     t
@@ -112,7 +132,7 @@ module Source : sig
       once some backup trails the frontier by more than [lag_budget]
       records {e and} the op log has grown past it since the last
       image, the source escalates to a fresh full-image snapshot
-      (emptying the op log and counting [lag_snapshots]) instead of
+      (emptying the op log) instead of
       accumulating per-op state for the laggard. Without it the op
       log between journal compactions grows with the partition
       length. *)
@@ -176,11 +196,7 @@ module Source : sig
   val lag : t -> (Types.agent * int) list
   (** Per-backup lag in records: frontier minus acked. *)
 
-  val lag_snapshots : t -> int
-  (** Snapshot escalations forced by [lag_budget] so far (reads the
-      shared counter). *)
-
-  val stats : t -> Netsim.Stats.replication
+  val counters : t -> Metrics.t
 end
 
 module Replica : sig
@@ -197,7 +213,7 @@ module Replica : sig
     ?disk:Store.Backend.t ->
     ?file:string ->
     ?term:int ->
-    ?counters:counters ->
+    ?counters:Metrics.t ->
     unit ->
     t
   (** An empty replica expecting [primary]'s stream. With [disk],
@@ -242,6 +258,5 @@ module Replica : sig
       (reads destructively) — the promotion watchdog's input. *)
 
   val file : t -> string
-  val eio_retries : t -> int
-  val stats : t -> Netsim.Stats.replication
+  val counters : t -> Metrics.t
 end

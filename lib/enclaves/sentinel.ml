@@ -111,71 +111,27 @@ let weight cfg = function
    leader at all. Angle brackets keep it out of any legal name space. *)
 let wire_peer = "<wire>"
 
-type counters = {
-  mutable observations : int;
-  mutable rate_limits : int;
-  mutable quarantines : int;
-  mutable expulsions : int;
-  mutable emergency_rekeys : int;
-  mutable quarantined_dropped : int;
-  mutable preauth_admitted : int;
-  mutable preauth_throttled : int;
-  mutable preauth_capped : int;
-  mutable preauth_queue_dropped : int;
-  mutable queues_purged : int;
-  mutable suspicion_shipped : int;
-  mutable suspicion_imported : int;
-  mutable wire_observations : int;
-  mutable off_path_observations : int;
-  mutable framing_holds : int;
-  mutable challenges_issued : int;
-  mutable attestations : int;
-}
-
-let fresh_counters () =
-  {
-    observations = 0;
-    rate_limits = 0;
-    quarantines = 0;
-    expulsions = 0;
-    emergency_rekeys = 0;
-    quarantined_dropped = 0;
-    preauth_admitted = 0;
-    preauth_throttled = 0;
-    preauth_capped = 0;
-    preauth_queue_dropped = 0;
-    queues_purged = 0;
-    suspicion_shipped = 0;
-    suspicion_imported = 0;
-    wire_observations = 0;
-    off_path_observations = 0;
-    framing_holds = 0;
-    challenges_issued = 0;
-    attestations = 0;
-  }
-
-let to_stats (c : counters) : Netsim.Stats.sentinel =
-  {
-    observations = c.observations;
-    rate_limits = c.rate_limits;
-    quarantines = c.quarantines;
-    expulsions = c.expulsions;
-    emergency_rekeys = c.emergency_rekeys;
-    quarantined_dropped = c.quarantined_dropped;
-    preauth_admitted = c.preauth_admitted;
-    preauth_throttled = c.preauth_throttled;
-    preauth_capped = c.preauth_capped;
-    preauth_queue_dropped = c.preauth_queue_dropped;
-    queues_purged = c.queues_purged;
-    suspicion_shipped = c.suspicion_shipped;
-    suspicion_imported = c.suspicion_imported;
-    wire_observations = c.wire_observations;
-    off_path_observations = c.off_path_observations;
-    framing_holds = c.framing_holds;
-    challenges_issued = c.challenges_issued;
-    attestations = c.attestations;
-    injections_blocked = 0;
-  }
+module Counter = struct
+  let layer = Metrics.layer "sentinel"
+  let c = Metrics.counter layer
+  let observations = c "observations"
+  let rate_limits = c "rate_limits"
+  let quarantines = c "quarantines"
+  let expulsions = c "expulsions"
+  let emergency_rekeys = c "emergency_rekeys"
+  let quarantined_dropped = c "quarantined_dropped"
+  let preauth_admitted = c "preauth_admitted"
+  let preauth_throttled = c "preauth_throttled"
+  let preauth_capped = c "preauth_capped"
+  let queues_purged = c "queues_purged"
+  let suspicion_shipped = c "suspicion_shipped"
+  let suspicion_imported = c "suspicion_imported"
+  let wire_observations = c "wire_observations"
+  let off_path_observations = c "off_path_observations"
+  let framing_holds = c "framing_holds"
+  let challenges_issued = c "challenges_issued"
+  let attestations = c "attestations"
+end
 
 type peer = {
   (* On-path evidence per class: frames that arrived over this peer's
@@ -198,7 +154,7 @@ type t = {
   clock : unit -> Vtime.t;
   peers : (string, peer) Hashtbl.t;
   anon : peer;  (* shared bucket for names outside the directory *)
-  counters : counters;
+  counters : Metrics.t;
   mutable ship : (string -> unit) option;
 }
 
@@ -221,7 +177,7 @@ let create ?(config = default_config) ?(clock = fun () -> Vtime.zero) () =
     clock;
     peers = Hashtbl.create 16;
     anon = fresh_peer config now;
-    counters = fresh_counters ();
+    counters = Metrics.create Counter.layer;
     ship = None;
   }
 
@@ -281,9 +237,9 @@ let level_for_rank_update t p target =
     p.level <- target;
     (match target with
     | Clear -> ()
-    | Rate_limited -> t.counters.rate_limits <- t.counters.rate_limits + 1
-    | Quarantined -> t.counters.quarantines <- t.counters.quarantines + 1
-    | Expelled -> t.counters.expulsions <- t.counters.expulsions + 1);
+    | Rate_limited -> Metrics.incr t.counters Counter.rate_limits
+    | Quarantined -> Metrics.incr t.counters Counter.quarantines
+    | Expelled -> Metrics.incr t.counters Counter.expulsions);
     true
   end
   else false
@@ -315,7 +271,7 @@ let corroborated_target t p =
     && not (corroborated t.config p)
   then begin
     if level_rank p.level < level_rank Quarantined then
-      t.counters.framing_holds <- t.counters.framing_holds + 1;
+      Metrics.incr t.counters Counter.framing_holds;
     Rate_limited
   end
   else raw
@@ -345,7 +301,7 @@ let maybe_ship t =
   match t.ship with
   | None -> ()
   | Some f ->
-      t.counters.suspicion_shipped <- t.counters.suspicion_shipped + 1;
+      Metrics.incr t.counters Counter.suspicion_shipped;
       f (export t)
 
 (* Score one full-weight on-path (or legacy/unattributed) increment
@@ -366,13 +322,13 @@ let charge_off_path t name kind =
   touch t p now;
   p.off <- p.off +. (weight t.config kind *. t.config.wire_discount);
   p.last <- now;
-  t.counters.off_path_observations <- t.counters.off_path_observations + 1;
+  Metrics.incr t.counters Counter.off_path_observations;
   let escalated = level_for_rank_update t p (corroborated_target t p) in
   if escalated then maybe_ship t;
   p
 
 let observe_via t ~claimed ~via kind =
-  t.counters.observations <- t.counters.observations + 1;
+  Metrics.incr t.counters Counter.observations;
   if not t.config.attribution then (charge_on_path t claimed kind).level
   else
     match via with
@@ -385,7 +341,7 @@ let observe_via t ~claimed ~via kind =
         ignore (charge_on_path t owner kind);
         (charge_off_path t claimed kind).level
     | Trace.Via_wire ->
-        t.counters.wire_observations <- t.counters.wire_observations + 1;
+        Metrics.incr t.counters Counter.wire_observations;
         ignore (charge_on_path t wire_peer kind);
         (charge_off_path t claimed kind).level
 
@@ -422,7 +378,7 @@ let note_challenged t name =
   let p = peer t name in
   p.challenge_open <- true;
   p.last_challenge <- Some (t.clock ());
-  t.counters.challenges_issued <- t.counters.challenges_issued + 1
+  Metrics.incr t.counters Counter.challenges_issued
 
 let note_attested t name =
   match Hashtbl.find_opt t.peers name with
@@ -432,21 +388,21 @@ let note_attested t name =
         p.challenge_open <- false;
         touch t p (t.clock ());
         p.off <- 0.0;
-        t.counters.attestations <- t.counters.attestations + 1;
+        Metrics.incr t.counters Counter.attestations;
         true
       end
       else false
 
 let note_quarantined_drop t ?via name =
-  t.counters.quarantined_dropped <- t.counters.quarantined_dropped + 1;
+  Metrics.incr t.counters Counter.quarantined_dropped;
   let via = Option.value via ~default:(Trace.Via_socket name) in
   ignore (observe_via t ~claimed:name ~via Contained)
 
 let note_emergency_rekey t =
-  t.counters.emergency_rekeys <- t.counters.emergency_rekeys + 1
+  Metrics.incr t.counters Counter.emergency_rekeys
 
 let note_queue_purged t =
-  t.counters.queues_purged <- t.counters.queues_purged + 1
+  Metrics.incr t.counters Counter.queues_purged
 
 let suspects t =
   Hashtbl.fold
@@ -509,28 +465,28 @@ let admit_preauth t ?via ~peer:name ~known ~resuming ~half_open () =
     || level_rank (level t principal) >= level_rank Quarantined
   in
   if denied then begin
-    t.counters.quarantined_dropped <- t.counters.quarantined_dropped + 1;
+    Metrics.incr t.counters Counter.quarantined_dropped;
     Denied_quarantined
   end
   else if resuming then begin
     (* An in-progress handshake retransmission; blocking it would wedge
        legitimate joins under their own backoff. *)
-    t.counters.preauth_admitted <- t.counters.preauth_admitted + 1;
+    Metrics.incr t.counters Counter.preauth_admitted;
     Admit
   end
   else if half_open >= t.config.half_open_cap then begin
-    t.counters.preauth_capped <- t.counters.preauth_capped + 1;
+    Metrics.incr t.counters Counter.preauth_capped;
     Capped
   end
   else begin
     refill t p now;
     if p.tokens >= 1.0 then begin
       p.tokens <- p.tokens -. 1.0;
-      t.counters.preauth_admitted <- t.counters.preauth_admitted + 1;
+      Metrics.incr t.counters Counter.preauth_admitted;
       Admit
     end
     else begin
-      t.counters.preauth_throttled <- t.counters.preauth_throttled + 1;
+      Metrics.incr t.counters Counter.preauth_throttled;
       Throttled
     end
   end
@@ -613,7 +569,7 @@ let import t blob =
           | _ -> ())
       | _ -> ())
     lines;
-  t.counters.suspicion_imported <- t.counters.suspicion_imported + 1;
+  Metrics.incr t.counters Counter.suspicion_imported;
   !merged
 
 let pp_suspects fmt t =

@@ -43,7 +43,12 @@
     Thresholds are calibrated against both the chaos suite and the
     intruder arms (see [enclaves_cli calibrate]): a clean member under
     10% link loss must never reach [Quarantined], and neither may an
-    honest victim framed by a wire-level outsider. *)
+    honest victim framed by a wire-level outsider.
+
+    What the sentinel did is counted in its {!Counter} layer (a
+    {!Metrics} instance that lives as long as the sentinel, i.e.
+    across leader restarts); the driver's pre-auth door counts its own
+    queue drops and blocked injections. *)
 
 type level = Clear | Rate_limited | Quarantined | Expelled
 
@@ -100,32 +105,67 @@ val wire_peer : string
     Not a legal member name; once {e it} reaches [Quarantined] the
     driver drops raw wire injections at the leader's door. *)
 
-type counters = {
-  mutable observations : int;
-  mutable rate_limits : int;
-  mutable quarantines : int;
-  mutable expulsions : int;
-  mutable emergency_rekeys : int;
-  mutable quarantined_dropped : int;
-  mutable preauth_admitted : int;
-  mutable preauth_throttled : int;
-  mutable preauth_capped : int;
-  mutable preauth_queue_dropped : int;
-  mutable queues_purged : int;
-  mutable suspicion_shipped : int;
-  mutable suspicion_imported : int;
-  mutable wire_observations : int;
-  mutable off_path_observations : int;
-  mutable framing_holds : int;
-  mutable challenges_issued : int;
-  mutable attestations : int;
-}
+(** What the sentinel did during a run, one instance per sentinel. The
+    driver's pre-auth door keeps its own counts
+    ({!Driver.Improved.Counter}). *)
+module Counter : sig
+  val layer : Metrics.layer
 
-val fresh_counters : unit -> counters
+  val observations : Metrics.key
+  (** Evidence events scored, all peers summed. *)
 
-val to_stats : counters -> Netsim.Stats.sentinel
-(** [injections_blocked] is driver-side and reported as 0 here; the
-    driver overlays its own count. *)
+  val rate_limits : Metrics.key  (** Escalations into [Rate_limited]. *)
+
+  val quarantines : Metrics.key  (** Escalations into [Quarantined]. *)
+
+  val expulsions : Metrics.key  (** Escalations into [Expelled]. *)
+
+  val emergency_rekeys : Metrics.key
+  (** Group rekeys forced by containment, retiring the suspect's key
+      material group-wide. *)
+
+  val quarantined_dropped : Metrics.key
+  (** Inbound frames from quarantined peers dropped before protocol
+      processing. *)
+
+  val preauth_admitted : Metrics.key  (** Pre-auth frames passed to the handshake. *)
+
+  val preauth_throttled : Metrics.key
+  (** Pre-auth frames denied by the token bucket. *)
+
+  val preauth_capped : Metrics.key
+  (** Pre-auth frames denied by the half-open cap. *)
+
+  val queues_purged : Metrics.key
+  (** Quarantined members' delivery queues durably purged instead of
+      salvaged. *)
+
+  val suspicion_shipped : Metrics.key  (** Suspicion snapshots shipped to backups. *)
+
+  val suspicion_imported : Metrics.key
+  (** Suspicion snapshots adopted by a promoted successor. *)
+
+  val wire_observations : Metrics.key
+  (** Evidence events whose frame arrived [Via_wire] — charged at full
+      weight to the wire pseudo-peer, not the claimed name. *)
+
+  val off_path_observations : Metrics.key
+  (** Evidence events charged to a claimed sender at the discounted
+      weight because the frame did not arrive over its socket. *)
+
+  val framing_holds : Metrics.key
+  (** Times the corroboration gate clamped a raw quarantine-level score
+      back to [Rate_limited] because the evidence lacked an on-path or
+      two-class basis. *)
+
+  val challenges_issued : Metrics.key
+  (** Liveness challenges sent to corroboration-blocked peers ("prove
+      liveness under your session key"). *)
+
+  val attestations : Metrics.key
+  (** Challenges answered by a live session-key ack, relieving the
+      answering peer's off-path score. *)
+end
 
 type t
 
@@ -136,7 +176,7 @@ val create : ?config:config -> ?clock:(unit -> Netsim.Vtime.t) -> unit -> t
     direct unit tests. *)
 
 val config : t -> config
-val counters : t -> counters
+val counters : t -> Metrics.t
 
 val observe : t -> peer:string -> evidence -> level
 (** Score one on-path evidence event against [peer] and return the

@@ -72,24 +72,19 @@ let node_down t ~now node =
       && match o.up with None -> true | Some up -> Vtime.(now < up))
     t.outages
 
-type counters = {
-  mutable lost : int;
-  mutable corrupted : int;
-  mutable duplicated : int;
-  mutable spiked : int;
-  mutable cut : int;
-  mutable down : int;
-}
+module Counter = struct
+  let layer = Metrics.layer "faultplan"
+  let c = Metrics.counter layer
+  let lost = c "lost"
+  let corrupted = c "corrupted"
+  let duplicated = c "duplicated"
+  let spiked = c "spiked"
+  let cut = c "cut"
+  let down = c "down"
+end
 
-let fresh_counters () =
-  { lost = 0; corrupted = 0; duplicated = 0; spiked = 0; cut = 0; down = 0 }
-
-let total_dropped c = c.lost + c.cut + c.down
-
-let pp_counters fmt c =
-  Format.fprintf fmt
-    "lost=%d corrupted=%d duplicated=%d spiked=%d cut=%d down=%d" c.lost
-    c.corrupted c.duplicated c.spiked c.cut c.down
+let total_dropped c =
+  Metrics.(get c Counter.lost + get c Counter.cut + get c Counter.down)
 
 type verdict =
   | Fault_drop of [ `Loss | `Partition | `Outage ]
@@ -109,37 +104,37 @@ let flip_one_bit rng payload =
 
 let apply t ~rng ~counters ~now ~src ~dst ~payload =
   if node_down t ~now src || node_down t ~now dst then begin
-    counters.down <- counters.down + 1;
+    Metrics.incr counters Counter.down;
     Fault_drop `Outage
   end
   else if partitioned t ~now ~src ~dst then begin
-    counters.cut <- counters.cut + 1;
+    Metrics.incr counters Counter.cut;
     Fault_drop `Partition
   end
   else begin
     let link = link_for t ~src ~dst in
     if hit rng link.loss then begin
-      counters.lost <- counters.lost + 1;
+      Metrics.incr counters Counter.lost;
       Fault_drop `Loss
     end
     else begin
       let payload =
         if hit rng link.corrupt then begin
-          counters.corrupted <- counters.corrupted + 1;
+          Metrics.incr counters Counter.corrupted;
           flip_one_bit rng payload
         end
         else payload
       in
       let extra =
         if hit rng link.spike_prob then begin
-          counters.spiked <- counters.spiked + 1;
+          Metrics.incr counters Counter.spiked;
           link.spike
         end
         else Vtime.zero
       in
       let copies =
         if hit rng link.duplicate then begin
-          counters.duplicated <- counters.duplicated + 1;
+          Metrics.incr counters Counter.duplicated;
           2
         end
         else 1

@@ -77,19 +77,19 @@ val link_for : t -> src:string -> dst:string -> link
 val partitioned : t -> now:Vtime.t -> src:string -> dst:string -> bool
 val node_down : t -> now:Vtime.t -> string -> bool
 
-(** Mutable tally of injected faults, one per network. *)
-type counters = {
-  mutable lost : int;
-  mutable corrupted : int;
-  mutable duplicated : int;
-  mutable spiked : int;
-  mutable cut : int;  (** Dropped by an active partition. *)
-  mutable down : int;  (** Dropped because an endpoint was down. *)
-}
+(** The tally of injected faults, one instance per network. *)
+module Counter : sig
+  val layer : Metrics.layer
+  val lost : Metrics.key
+  val corrupted : Metrics.key
+  val duplicated : Metrics.key
+  val spiked : Metrics.key
+  val cut : Metrics.key  (** Dropped by an active partition. *)
 
-val fresh_counters : unit -> counters
-val total_dropped : counters -> int
-val pp_counters : Format.formatter -> counters -> unit
+  val down : Metrics.key  (** Dropped because an endpoint was down. *)
+end
+
+val total_dropped : Metrics.t -> int
 
 type verdict =
   | Fault_drop of [ `Loss | `Partition | `Outage ]
@@ -98,7 +98,7 @@ type verdict =
 val apply :
   t ->
   rng:Prng.Splitmix.t ->
-  counters:counters ->
+  counters:Metrics.t ->
   now:Vtime.t ->
   src:string ->
   dst:string ->

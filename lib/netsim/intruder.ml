@@ -45,48 +45,32 @@ let pp_campaign fmt c =
   Format.fprintf fmt "%s[%a..%a period=%a burst=%d]" (arm_name c.arm) Vtime.pp
     c.start Vtime.pp c.stop Vtime.pp c.period c.burst
 
-type counters = {
-  mutable flood_frames : int;
-  mutable storm_frames : int;
-  mutable forged_frames : int;
-  mutable replayed_frames : int;
-  mutable framed_replays : int;
-  mutable framed_floods : int;
-}
-
-let fresh_counters () =
-  {
-    flood_frames = 0;
-    storm_frames = 0;
-    forged_frames = 0;
-    replayed_frames = 0;
-    framed_replays = 0;
-    framed_floods = 0;
-  }
-
-let counters_named c =
-  [
-    ("flood_frames", c.flood_frames);
-    ("storm_frames", c.storm_frames);
-    ("forged_frames", c.forged_frames);
-    ("replayed_frames", c.replayed_frames);
-    ("framed_replays", c.framed_replays);
-    ("framed_floods", c.framed_floods);
-  ]
+module Counter = struct
+  let layer = Metrics.layer "intruder"
+  let c = Metrics.counter layer
+  let flood_frames = c "flood_frames"
+  let storm_frames = c "storm_frames"
+  let forged_frames = c "forged_frames"
+  let replayed_frames = c "replayed_frames"
+  let framed_replays = c "framed_replays"
+  let framed_floods = c "framed_floods"
+end
 
 let record c arm n =
-  match arm with
-  | Preauth_flood -> c.flood_frames <- c.flood_frames + n
-  | Handshake_storm -> c.storm_frames <- c.storm_frames + n
-  | Forge_burst -> c.forged_frames <- c.forged_frames + n
-  | Replay_burst -> c.replayed_frames <- c.replayed_frames + n
-  | Frame_replay -> c.framed_replays <- c.framed_replays + n
-  | Frame_flood -> c.framed_floods <- c.framed_floods + n
+  Metrics.add c
+    (match arm with
+    | Preauth_flood -> Counter.flood_frames
+    | Handshake_storm -> Counter.storm_frames
+    | Forge_burst -> Counter.forged_frames
+    | Replay_burst -> Counter.replayed_frames
+    | Frame_replay -> Counter.framed_replays
+    | Frame_flood -> Counter.framed_floods)
+    n
 
-type t = { rng : Prng.Splitmix.t; counters : counters }
+type t = { rng : Prng.Splitmix.t; counters : Metrics.t }
 
 let create ~rng () =
-  { rng = Prng.Splitmix.split rng; counters = fresh_counters () }
+  { rng = Prng.Splitmix.split rng; counters = Metrics.create Counter.layer }
 
 let counters t = t.counters
 

@@ -69,21 +69,20 @@ val campaign :
 
 val pp_campaign : Format.formatter -> campaign -> unit
 
-type counters = {
-  mutable flood_frames : int;
-  mutable storm_frames : int;
-  mutable forged_frames : int;
-  mutable replayed_frames : int;
-  mutable framed_replays : int;
-  mutable framed_floods : int;
-}
 (** Frames the actor actually injected, per arm — bumped by the actor
     through {!record}, so the run report attributes hostile traffic
     the same way {!Faultplan} attributes drops. *)
+module Counter : sig
+  val layer : Metrics.layer
+  val flood_frames : Metrics.key
+  val storm_frames : Metrics.key
+  val forged_frames : Metrics.key
+  val replayed_frames : Metrics.key
+  val framed_replays : Metrics.key
+  val framed_floods : Metrics.key
+end
 
-val fresh_counters : unit -> counters
-val counters_named : counters -> (string * int) list
-val record : counters -> arm -> int -> unit
+val record : Metrics.t -> arm -> int -> unit
 
 type t
 
@@ -91,7 +90,7 @@ val create : rng:Prng.Splitmix.t -> unit -> t
 (** Splits a private stream off [rng]: the plans this intruder draws
     depend only on the seed and the order of {!plan} calls. *)
 
-val counters : t -> counters
+val counters : t -> Metrics.t
 
 val plan : t -> campaign -> (Vtime.t * int) list
 (** The campaign's firing schedule, oldest first: one [(time, burst)]

@@ -13,7 +13,7 @@ type t = {
   (* Split lazily on the first [set_faultplan] so fault-free runs draw
      exactly the same random stream as before the fault layer existed. *)
   mutable fault_rng : Prng.Splitmix.t option;
-  fault_counters : Faultplan.counters;
+  fault_counters : Metrics.t;
   (* Last scheduled delivery time per (src,dst), to keep per-pair FIFO. *)
   last_delivery : (string * string, Vtime.t) Hashtbl.t;
   (* Injection path of the frame whose handler is running right now —
@@ -34,7 +34,7 @@ let create ~sim ?(latency_us = (500, 1500)) ?(trace = Trace.create ()) () =
     adversary = None;
     faultplan = None;
     fault_rng = None;
-    fault_counters = Faultplan.fresh_counters ();
+    fault_counters = Metrics.create Faultplan.Counter.layer;
     last_delivery = Hashtbl.create 16;
     delivering = None;
   }
@@ -88,8 +88,7 @@ let deliver t ~src ~dst ~payload ~via ~extra =
       let dst_down =
         match t.faultplan with
         | Some plan when Faultplan.node_down plan ~now:(Sim.now t.sim) dst ->
-            t.fault_counters.Faultplan.down <-
-              t.fault_counters.Faultplan.down + 1;
+            Metrics.incr t.fault_counters Faultplan.Counter.down;
             true
         | _ -> false
       in

@@ -53,7 +53,7 @@ val set_faultplan : t -> Faultplan.t option -> unit
     with one replay bit-for-bit from the simulation seed. *)
 
 val faultplan : t -> Faultplan.t option
-val fault_counters : t -> Faultplan.counters
+val fault_counters : t -> Metrics.t
 (** Running tally of faults injected so far on this network. *)
 
 val inject : t -> ?origin:string -> dst:string -> string -> unit

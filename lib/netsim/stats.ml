@@ -108,85 +108,6 @@ let pp fmt t =
     t.unmatched_deliveries t.bytes_on_wire t.latency_min_ms t.latency_mean_ms
     t.latency_max_ms
 
-type storage = {
-  torn_writes : int;
-  short_writes : int;
-  dropped_fsyncs : int;
-  eio_injected : int;
-  eio_retries : int;
-  crash_images_replayed : int;
-}
-
-let empty_storage =
-  {
-    torn_writes = 0;
-    short_writes = 0;
-    dropped_fsyncs = 0;
-    eio_injected = 0;
-    eio_retries = 0;
-    crash_images_replayed = 0;
-  }
-
-let storage_named s =
-  [
-    ("torn_writes", s.torn_writes);
-    ("short_writes", s.short_writes);
-    ("dropped_fsyncs", s.dropped_fsyncs);
-    ("eio_injected", s.eio_injected);
-    ("eio_retries", s.eio_retries);
-    ("crash_images_replayed", s.crash_images_replayed);
-  ]
-
-type replication = {
-  records_shipped : int;
-  records_acked : int;
-  snapshots_shipped : int;
-  heartbeats_shipped : int;
-  gap_fetches : int;
-  rejected_forged : int;
-  rejected_replayed : int;
-  rejected_stale : int;
-  stale_notices : int;
-  stale_sourcing_stopped : int;
-  demotions : int;
-  warm_promotions : int;
-  cold_promotions : int;
-}
-
-let empty_replication =
-  {
-    records_shipped = 0;
-    records_acked = 0;
-    snapshots_shipped = 0;
-    heartbeats_shipped = 0;
-    gap_fetches = 0;
-    rejected_forged = 0;
-    rejected_replayed = 0;
-    rejected_stale = 0;
-    stale_notices = 0;
-    stale_sourcing_stopped = 0;
-    demotions = 0;
-    warm_promotions = 0;
-    cold_promotions = 0;
-  }
-
-let replication_named r =
-  [
-    ("records_shipped", r.records_shipped);
-    ("records_acked", r.records_acked);
-    ("snapshots_shipped", r.snapshots_shipped);
-    ("heartbeats_shipped", r.heartbeats_shipped);
-    ("gap_fetches", r.gap_fetches);
-    ("rejected_forged", r.rejected_forged);
-    ("rejected_replayed", r.rejected_replayed);
-    ("rejected_stale", r.rejected_stale);
-    ("stale_notices", r.stale_notices);
-    ("stale_sourcing_stopped", r.stale_sourcing_stopped);
-    ("demotions", r.demotions);
-    ("warm_promotions", r.warm_promotions);
-    ("cold_promotions", r.cold_promotions);
-  ]
-
 type delivery = {
   queued : int;
   drained : int;
@@ -207,114 +128,3 @@ let empty_delivery =
     delivered_stale = 0;
     queue_bytes_hwm = 0;
   }
-
-let delivery_named d =
-  [
-    ("queued", d.queued);
-    ("drained", d.drained);
-    ("deduped", d.deduped);
-    ("resealed", d.resealed);
-    ("rejected_stale", d.rejected_stale);
-    ("delivered_stale", d.delivered_stale);
-    ("queue_bytes_hwm", d.queue_bytes_hwm);
-  ]
-
-type sentinel = {
-  observations : int;
-  rate_limits : int;
-  quarantines : int;
-  expulsions : int;
-  emergency_rekeys : int;
-  quarantined_dropped : int;
-  preauth_admitted : int;
-  preauth_throttled : int;
-  preauth_capped : int;
-  preauth_queue_dropped : int;
-  queues_purged : int;
-  suspicion_shipped : int;
-  suspicion_imported : int;
-  wire_observations : int;
-  off_path_observations : int;
-  framing_holds : int;
-  challenges_issued : int;
-  attestations : int;
-  injections_blocked : int;
-}
-
-let empty_sentinel =
-  {
-    observations = 0;
-    rate_limits = 0;
-    quarantines = 0;
-    expulsions = 0;
-    emergency_rekeys = 0;
-    quarantined_dropped = 0;
-    preauth_admitted = 0;
-    preauth_throttled = 0;
-    preauth_capped = 0;
-    preauth_queue_dropped = 0;
-    queues_purged = 0;
-    suspicion_shipped = 0;
-    suspicion_imported = 0;
-    wire_observations = 0;
-    off_path_observations = 0;
-    framing_holds = 0;
-    challenges_issued = 0;
-    attestations = 0;
-    injections_blocked = 0;
-  }
-
-let sentinel_named s =
-  [
-    ("observations", s.observations);
-    ("rate_limits", s.rate_limits);
-    ("quarantines", s.quarantines);
-    ("expulsions", s.expulsions);
-    ("emergency_rekeys", s.emergency_rekeys);
-    ("quarantined_dropped", s.quarantined_dropped);
-    ("preauth_admitted", s.preauth_admitted);
-    ("preauth_throttled", s.preauth_throttled);
-    ("preauth_capped", s.preauth_capped);
-    ("preauth_queue_dropped", s.preauth_queue_dropped);
-    ("queues_purged", s.queues_purged);
-    ("suspicion_shipped", s.suspicion_shipped);
-    ("suspicion_imported", s.suspicion_imported);
-    ("wire_observations", s.wire_observations);
-    ("off_path_observations", s.off_path_observations);
-    ("framing_holds", s.framing_holds);
-    ("challenges_issued", s.challenges_issued);
-    ("attestations", s.attestations);
-    ("injections_blocked", s.injections_blocked);
-  ]
-
-type resource = {
-  degraded_entries : int;
-  records_shed : int;
-  enospc_hits : int;
-  fsync_stall_ms_max : int;
-  repl_lag_snapshots : int;
-}
-
-let empty_resource =
-  {
-    degraded_entries = 0;
-    records_shed = 0;
-    enospc_hits = 0;
-    fsync_stall_ms_max = 0;
-    repl_lag_snapshots = 0;
-  }
-
-let resource_named r =
-  [
-    ("degraded_entries", r.degraded_entries);
-    ("records_shed", r.records_shed);
-    ("enospc_hits", r.enospc_hits);
-    ("fsync_stall_ms_max", r.fsync_stall_ms_max);
-    ("repl_lag_snapshots", r.repl_lag_snapshots);
-  ]
-
-let pp_named fmt counters =
-  let pp_one fmt (name, v) = Format.fprintf fmt "%s=%d" name v in
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-    pp_one fmt counters

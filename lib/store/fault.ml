@@ -23,36 +23,22 @@ let none =
     stall_after_writes = None;
   }
 
-type counters = {
-  mutable torn_writes : int;
-  mutable short_writes : int;
-  mutable dropped_fsyncs : int;
-  mutable eio_injected : int;
-  mutable crashes : int;
-  mutable enospc_hits : int;
-  mutable fsync_spikes : int;
-  mutable fsync_stall_ms_max : int;
-  mutable stalled_ops : int;
-}
-
-let empty_counters () =
-  {
-    torn_writes = 0;
-    short_writes = 0;
-    dropped_fsyncs = 0;
-    eio_injected = 0;
-    crashes = 0;
-    enospc_hits = 0;
-    fsync_spikes = 0;
-    fsync_stall_ms_max = 0;
-    stalled_ops = 0;
-  }
+module Counter = struct
+  let layer = Metrics.layer "fault"
+  let c = Metrics.counter layer
+  let torn_writes = c "torn_writes"
+  let short_writes = c "short_writes"
+  let dropped_fsyncs = c "dropped_fsyncs"
+  let eio_injected = c "eio_injected"
+  let enospc_hits = c "enospc_hits"
+  let fsync_stall_ms_max = Metrics.counter ~merge:Max layer "fsync_stall_ms_max"
+end
 
 type t = {
   inner : Backend.t;
   config : config;
   rng : Prng.Splitmix.t;
-  counters : counters;
+  counters : Metrics.t;
   mutable writes_done : int;
   mutable crashed : bool;
   (* The ENOSPC arm models the device's own allocation: the wrapper
@@ -68,7 +54,7 @@ let create ?(config = none) ~rng inner =
     inner;
     config;
     rng;
-    counters = empty_counters ();
+    counters = Metrics.create Counter.layer;
     writes_done = 0;
     crashed = false;
     sizes = Hashtbl.create 8;
@@ -121,9 +107,7 @@ let check_stall t =
         t.writes_done <- t.writes_done + 1;
       if t.writes_done >= k then t.stalled <- true
   | _ -> ());
-  if t.stalled then (
-    t.counters.stalled_ops <- t.counters.stalled_ops + 1;
-    raise (Backend.Stalled "injected persistent write stall"))
+  if t.stalled then raise (Backend.Stalled "injected persistent write stall")
 
 (* ENOSPC with no partial effect: a write that would push usage past
    the budget fails whole. (Real disks can land a prefix first; the
@@ -134,15 +118,13 @@ let check_space t file ~off ~len =
   | Some budget ->
       let growth = max 0 (off + len - size_of t file) in
       if growth > 0 && bytes_used t + growth > budget then (
-        t.counters.enospc_hits <- t.counters.enospc_hits + 1;
+        Metrics.incr t.counters Counter.enospc_hits;
         raise
           (Backend.No_space
              (Printf.sprintf "injected ENOSPC (%d used + %d > %d budget)"
                 (bytes_used t) growth budget)))
 
-let mark_crash t =
-  t.crashed <- true;
-  t.counters.crashes <- t.counters.crashes + 1
+let mark_crash t = t.crashed <- true
 
 let pwrite t ~file ~off data =
   check_alive t;
@@ -157,19 +139,19 @@ let pwrite t ~file ~off data =
   check_stall t;
   check_space t file ~off ~len:(String.length data);
   if hit t t.config.eio then (
-    t.counters.eio_injected <- t.counters.eio_injected + 1;
+    Metrics.incr t.counters Counter.eio_injected;
     raise (Backend.Eio "injected transient EIO"));
   if hit t t.config.short_write then (
     let k = tear_len t data in
     Backend.pwrite t.inner ~file ~off (String.sub data 0 k);
     note_write t file ~off ~len:k;
-    t.counters.short_writes <- t.counters.short_writes + 1;
+    Metrics.incr t.counters Counter.short_writes;
     raise (Backend.Eio (Printf.sprintf "injected short write (%d/%d bytes)" k (String.length data))));
   if hit t t.config.torn_write then (
     let k = tear_len t data in
     Backend.pwrite t.inner ~file ~off (String.sub data 0 k);
     note_write t file ~off ~len:k;
-    t.counters.torn_writes <- t.counters.torn_writes + 1)
+    Metrics.incr t.counters Counter.torn_writes)
   else (
     Backend.pwrite t.inner ~file ~off data;
     note_write t file ~off ~len:(String.length data))
@@ -185,13 +167,12 @@ let fsync t ~file =
     (* A latency spike is recorded, not slept: virtual-time harnesses
        poll [counters] for pressure rather than blocking the run. *)
     let ms = 1 + Prng.Splitmix.next_int t.rng (max 1 t.config.fsync_spike_ms) in
-    t.counters.fsync_spikes <- t.counters.fsync_spikes + 1;
-    t.counters.fsync_stall_ms_max <- max t.counters.fsync_stall_ms_max ms);
+    Metrics.set_max t.counters Counter.fsync_stall_ms_max ms);
   if hit t t.config.eio then (
-    t.counters.eio_injected <- t.counters.eio_injected + 1;
+    Metrics.incr t.counters Counter.eio_injected;
     raise (Backend.Eio "injected transient EIO"));
   if hit t t.config.drop_fsync then
-    t.counters.dropped_fsyncs <- t.counters.dropped_fsyncs + 1
+    Metrics.incr t.counters Counter.dropped_fsyncs
   else Backend.fsync t.inner ~file
 
 let rename t ~src ~dst =
@@ -203,7 +184,7 @@ let rename t ~src ~dst =
     raise (Backend.Crashed (Printf.sprintf "crash before rename %s -> %s" src dst)));
   check_stall t;
   if hit t t.config.eio then (
-    t.counters.eio_injected <- t.counters.eio_injected + 1;
+    Metrics.incr t.counters Counter.eio_injected;
     raise (Backend.Eio "injected transient EIO"));
   Backend.rename t.inner ~src ~dst;
   Hashtbl.replace t.sizes dst (size_of t src);

@@ -28,9 +28,9 @@
       harness vary the budget over virtual time — disk fills, space
       returns.
     - {b fsync-latency spike}: an [fsync] records a seeded latency
-      spike in [counters] (magnitude in [1, fsync_spike_ms]) instead
-      of sleeping — virtual-time harnesses poll the counters for
-      pressure.
+      spike (magnitude in [1, fsync_spike_ms]) in
+      {!Counter.fsync_stall_ms_max} instead of sleeping — virtual-time
+      harnesses poll the counters for pressure.
     - {b persistent write stall}: past the k-th mutation every
       mutating call ([pwrite]/[fsync]/[rename]) raises
       {!Backend.Stalled} until {!heal_stall} — a dying disk, not a
@@ -57,27 +57,30 @@ type config = {
 
 val none : config
 
-type counters = {
-  mutable torn_writes : int;
-  mutable short_writes : int;
-  mutable dropped_fsyncs : int;
-  mutable eio_injected : int;
-  mutable crashes : int;
-  mutable enospc_hits : int;  (** writes refused by the byte budget *)
-  mutable fsync_spikes : int;  (** fsyncs that recorded a latency spike *)
-  mutable fsync_stall_ms_max : int;  (** largest spike recorded, ms *)
-  mutable stalled_ops : int;  (** mutations refused while stalled *)
-}
+(** What the layer injected so far, one instance per wrapper. *)
+module Counter : sig
+  val layer : Metrics.layer
 
-val empty_counters : unit -> counters
-(** A fresh all-zero record — for harnesses that aggregate counters
-    across restarts or report a no-fault baseline. *)
+  val torn_writes : Metrics.key
+  (** Writes where only a prefix silently landed. *)
+
+  val short_writes : Metrics.key  (** Prefix landed and the write raised EIO. *)
+
+  val dropped_fsyncs : Metrics.key  (** fsyncs silently skipped. *)
+
+  val eio_injected : Metrics.key  (** Transient EIOs raised with no effect. *)
+
+  val enospc_hits : Metrics.key  (** Writes refused by the byte budget. *)
+
+  val fsync_stall_ms_max : Metrics.key
+  (** Largest fsync latency spike recorded, ms; banked as a maximum. *)
+end
 
 type t
 
 val create : ?config:config -> rng:Prng.Splitmix.t -> Backend.t -> t
 val handle : t -> Backend.t
-val counters : t -> counters
+val counters : t -> Metrics.t
 val crashed : t -> bool
 
 val stalled : t -> bool

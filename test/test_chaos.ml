@@ -142,7 +142,7 @@ let test_partition_heals () =
       let c = Netsim.Network.fault_counters (D.net d) in
       Alcotest.(check bool)
         (Printf.sprintf "partition cut frames (seed %Ld)" seed)
-        true (c.Netsim.Faultplan.cut > 0))
+        true (Metrics.get c Netsim.Faultplan.Counter.cut > 0))
     (List.filteri (fun i _ -> i < 10) seeds)
 
 let test_member_outage_and_restart () =
@@ -171,7 +171,7 @@ let test_member_outage_and_restart () =
       Alcotest.(check bool)
         (Printf.sprintf "outage dropped frames (seed %Ld)" seed)
         true
-        (c.Netsim.Faultplan.down > 0))
+        (Metrics.get c Netsim.Faultplan.Counter.down > 0))
     (List.filteri (fun i _ -> i < 10) seeds)
 
 let test_replay_determinism () =
@@ -180,17 +180,17 @@ let test_replay_determinism () =
   let snapshot seed =
     let d = run_once ~seed ~plan:(Netsim.Faultplan.uniform_loss 0.20) ~retry:true () in
     let c = Netsim.Network.fault_counters (D.net d) in
-    let r = D.retry_stats d in
+    let r = Metrics.find (D.counters d) in
     ( Netsim.Trace.length (Netsim.Network.trace (D.net d)),
-      ( c.Netsim.Faultplan.lost,
-        c.Netsim.Faultplan.corrupted,
-        c.Netsim.Faultplan.duplicated,
-        c.Netsim.Faultplan.spiked ),
-      ( r.D.handshake_retransmits,
-        r.D.keydist_retransmits,
-        r.D.admin_retransmits,
-        r.D.half_open_gcs,
-        r.D.session_resets ) )
+      ( Metrics.get c Netsim.Faultplan.Counter.lost,
+        Metrics.get c Netsim.Faultplan.Counter.corrupted,
+        Metrics.get c Netsim.Faultplan.Counter.duplicated,
+        Metrics.get c Netsim.Faultplan.Counter.spiked ),
+      ( r D.Counter.handshake_retransmits,
+        r D.Counter.keydist_retransmits,
+        r D.Counter.admin_retransmits,
+        r D.Counter.half_open_gcs,
+        r D.Counter.session_resets ) )
   in
   List.iter
     (fun seed ->
@@ -291,10 +291,10 @@ let test_failover_partitioned_primary_no_split () =
         (Printf.sprintf "all connected (seed %Ld)" seed)
         [ "alice"; "bob"; "carol" ]
         (Failover.connected_members t);
-      let stats = Failover.replication_stats t in
+      let stats = Failover.replication t in
       Alcotest.(check int)
         (Printf.sprintf "one warm promotion (seed %Ld)" seed)
-        1 stats.Netsim.Stats.warm_promotions;
+        1 (Metrics.get stats Replication.Counter.warm_promotions);
       Alcotest.(check int)
         (Printf.sprintf "one demotion (seed %Ld)" seed)
         1 (Failover.demotions t);

@@ -118,7 +118,7 @@ let test_window_boundary_inclusive () =
   | [] -> ()
   | _ -> Alcotest.fail "age = width + 1 must not deliver under Reject");
   Alcotest.(check int) "rejected durably" 0 (Delivery.depth d ~member:"a");
-  Alcotest.(check int) "counted" 1 (Delivery.counters d).Delivery.rejected_stale
+  Alcotest.(check int) "counted" 1 (Metrics.get (Delivery.counters d) Delivery.Counter.rejected_stale)
 
 let test_window_stale_arm () =
   let d =
@@ -131,7 +131,7 @@ let test_window_stale_arm () =
   | _ -> Alcotest.fail "beyond-window must arrive flagged stale");
   Alcotest.(check int)
     "counted" 1
-    (Delivery.counters d).Delivery.delivered_stale;
+    (Metrics.get (Delivery.counters d) Delivery.Counter.delivered_stale);
   (* stale delivery leaves the entry pending until the member acks it *)
   Alcotest.(check int) "still pending" 1 (Delivery.depth d ~member:"a");
   Delivery.ack d ~member:"a" ~upto:1;
@@ -243,7 +243,7 @@ let test_drained_rekey_is_freshened () =
   | None -> Alcotest.fail "member has no group key");
   Alcotest.(check bool)
     "reseal counted" true
-    ((D.delivery_stats d).Netsim.Stats.resealed > 0)
+    (Metrics.find (D.counters d) Delivery.Counter.resealed > 0)
 
 let test_stale_delivery_has_no_effect () =
   let d, _ =
@@ -328,7 +328,6 @@ let test_failover_successor_drains () =
     (List.length (FO.connected_members t));
   (* the promoted successor rebuilt the queue from its replica and the
      reconnecting member drained it *)
-  let stats = FO.delivery_stats t in
   Alcotest.(check int)
     "successor's queues fully drained" 0
     (match FO.primary t with
@@ -340,8 +339,7 @@ let test_failover_successor_drains () =
   let m = FO.member t "user1" in
   Alcotest.(check bool)
     "member applied deliveries exactly once" true
-    (strictly_increasing (Member.queued_applied m));
-  ignore stats
+    (strictly_increasing (Member.queued_applied m))
 
 (* --- crash matrix and symbolic model --- *)
 

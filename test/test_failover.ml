@@ -60,9 +60,9 @@ let test_heartbeats_keep_sessions_alive () =
      no backup may mistake replication quiet for a dead primary. *)
   run_for t 5000;
   Alcotest.(check int) "no spurious failovers" 0 (Failover.failovers t);
-  let stats = Failover.replication_stats t in
+  let stats = Failover.replication t in
   Alcotest.(check int) "no spurious promotions" 0
-    (stats.Netsim.Stats.warm_promotions + stats.Netsim.Stats.cold_promotions);
+    ((Metrics.get stats Replication.Counter.warm_promotions) + (Metrics.get stats Replication.Counter.cold_promotions));
   Alcotest.(check (list string)) "everyone still in" [ "alice"; "bob"; "carol" ]
     (Failover.connected_members t)
 
@@ -82,8 +82,8 @@ let test_cold_primary_crash_failover () =
         (Failover.manager_of t name))
     directory;
   Alcotest.(check bool) "failovers counted" true (Failover.failovers t >= 3);
-  let stats = Failover.replication_stats t in
-  Alcotest.(check int) "promotion was cold" 1 stats.Netsim.Stats.cold_promotions;
+  let stats = Failover.replication t in
+  Alcotest.(check int) "promotion was cold" 1 (Metrics.get stats Replication.Counter.cold_promotions);
   (* The successor's group is coherent: all members share its view. *)
   let views =
     List.map (fun (n, _) -> Member.group_view (Failover.member t n)) directory
@@ -119,10 +119,10 @@ let test_warm_failover_retains_sessions () =
     directory;
   (* Warm handoff: nobody's failure detector ever fired. *)
   Alcotest.(check int) "no member-driven failovers" 0 (Failover.failovers t);
-  let stats = Failover.replication_stats t in
+  let stats = Failover.replication t in
   Alcotest.(check int) "exactly one warm promotion" 1
-    stats.Netsim.Stats.warm_promotions;
-  Alcotest.(check int) "no cold promotion" 0 stats.Netsim.Stats.cold_promotions;
+    (Metrics.get stats Replication.Counter.warm_promotions);
+  Alcotest.(check int) "no cold promotion" 0 (Metrics.get stats Replication.Counter.cold_promotions);
   (* Session keys survive the handoff — the whole point of shipping the
      journal: members answered a RecoveryChallenge under their K_a. *)
   List.iter

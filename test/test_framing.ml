@@ -38,9 +38,9 @@ let test_wire_framing_cannot_quarantine_victim () =
     (quarantined (S.level sn S.wire_peer));
   let c = S.counters sn in
   Alcotest.(check bool) "wire observations counted" true
-    (c.S.wire_observations >= 100);
+    (Metrics.get c S.Counter.wire_observations >= 100);
   Alcotest.(check bool) "the gate held at least once" true
-    (c.S.framing_holds >= 1)
+    (Metrics.get c S.Counter.framing_holds >= 1)
 
 let test_foreign_socket_charges_the_owner () =
   let sn, _now = on_clock () in
@@ -110,7 +110,8 @@ let test_challenge_then_attestation_relieves () =
   Alcotest.(check bool) "level never exceeded rate-limited" true
     (rank (S.level sn "victim") < rank S.Quarantined);
   let c = S.counters sn in
-  Alcotest.(check int) "attestation counted" 1 c.S.attestations;
+  Alcotest.(check int) "attestation counted" 1
+    (Metrics.get c S.Counter.attestations);
   (* Cooldown: a fresh burst re-arms the challenge only after the
      configured spacing. *)
   for _ = 1 to 100 do
@@ -266,9 +267,8 @@ let framing_run arm seed =
           ~burst:8 ()));
   ignore (D.run ~until:(Netsim.Vtime.of_s 6) d);
   let sn = Option.get (D.sentinel d) in
-  let stats = D.sentinel_stats d in
   (S.level sn "user0", S.level sn S.wire_peer,
-   stats.Netsim.Stats.injections_blocked)
+   Metrics.find (D.counters d) D.Counter.injections_blocked)
 
 let check_framing_arm arm () =
   List.iter

@@ -292,7 +292,10 @@ let qcheck_tests =
               (fun (p, l) -> (p, Enclaves.Sentinel.level_name l))
               (Enclaves.Sentinel.suspects sn)
           in
-          (suspects, D.sentinel_counters d, Adversary.Insider.counters insider)
+          ( suspects,
+            Metrics.row (D.counters d) D.sentinel_row,
+            Metrics.named
+              (Netsim.Intruder.counters (Adversary.Insider.intruder insider)) )
         in
         campaign_run () = campaign_run ());
   ]

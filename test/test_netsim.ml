@@ -343,7 +343,7 @@ let test_faultplan_total_loss () =
   Network.send net ~src:"a" ~dst:"bob" "y";
   let _ = Sim.run sim in
   let c = Network.fault_counters net in
-  Alcotest.(check int) "both lost" 2 c.Faultplan.lost;
+  Alcotest.(check int) "both lost" 2 (Metrics.get c Faultplan.Counter.lost);
   let st = Stats.compute (Network.trace net) in
   Alcotest.(check int) "attributed to the fault plan" 2 st.Stats.dropped_by_fault;
   Alcotest.(check int) "aggregate matches" 2 st.Stats.dropped;
@@ -362,7 +362,8 @@ let test_faultplan_duplication () =
   Network.send net ~src:"a" ~dst:"bob" "x";
   let _ = Sim.run sim in
   Alcotest.(check int) "two copies" 2 !inbox;
-  Alcotest.(check int) "counted" 1 (Network.fault_counters net).Faultplan.duplicated
+  Alcotest.(check int) "counted" 1
+    (Metrics.get (Network.fault_counters net) Faultplan.Counter.duplicated)
 
 let test_faultplan_partition_window () =
   let sim = Sim.create () in
@@ -392,7 +393,8 @@ let test_faultplan_partition_window () =
   let _ = Sim.run sim in
   Alcotest.(check (list string)) "only the cut frame is lost"
     [ "before"; "after" ] (List.rev !inbox);
-  Alcotest.(check int) "cut counted" 1 (Network.fault_counters net).Faultplan.cut
+  Alcotest.(check int) "cut counted" 1
+    (Metrics.get (Network.fault_counters net) Faultplan.Counter.cut)
 
 let test_faultplan_outage () =
   let sim = Sim.create () in
@@ -419,7 +421,8 @@ let test_faultplan_outage () =
   let _ = Sim.run sim in
   Alcotest.(check (list string)) "down window swallows the frame"
     [ "before"; "restarted" ] (List.rev !inbox);
-  Alcotest.(check int) "down counted" 1 (Network.fault_counters net).Faultplan.down
+  Alcotest.(check int) "down counted" 1
+    (Metrics.get (Network.fault_counters net) Faultplan.Counter.down)
 
 let test_faultplan_deterministic_replay () =
   let run () =
@@ -439,8 +442,11 @@ let test_faultplan_deterministic_replay () =
     let _ = Sim.run sim in
     let c = Network.fault_counters net in
     ( Trace.length (Network.trace net),
-      (c.Faultplan.lost, c.Faultplan.corrupted, c.Faultplan.duplicated,
-       c.Faultplan.spiked) )
+      Faultplan.Counter.
+        ( Metrics.get c lost,
+          Metrics.get c corrupted,
+          Metrics.get c duplicated,
+          Metrics.get c spiked ) )
   in
   let (len1, c1) = run () and (len2, c2) = run () in
   Alcotest.(check int) "same trace length" len1 len2;

@@ -107,7 +107,7 @@ let storm ~bite seed =
   in
   {
     bounds_hold;
-    shed = (Delivery.counters d).Delivery.records_shed;
+    shed = Metrics.get (Delivery.counters d) Delivery.Counter.records_shed;
     sound =
       flushed && (not (Delivery.dirty d)) && durable_matches_live && !floor_ok;
   }
@@ -150,7 +150,7 @@ let test_ack_compacts_before_shedding () =
   in
   Delivery.ack d ~member:"m" ~upto:1;
   Alcotest.(check int) "records shed" 0
-    (Delivery.counters d).Delivery.records_shed;
+    (Metrics.get (Delivery.counters d) Delivery.Counter.records_shed);
   Alcotest.(check int) "pending kept" 6 (Delivery.depth d ~member:"m");
   Alcotest.(check bool) "within budget" true (Delivery.total_bytes d <= 300)
 
@@ -204,12 +204,12 @@ let ladder_episode seed =
   descended && !monotone && recovered
   && L.mode t = L.Healthy
   && L.durability_armed t
-  && L.rearms t = 1
-  && L.degraded_entries t >= 1
+  && Metrics.get (L.counters t) L.Counter.rearms = 1
+  && Metrics.get (L.counters t) L.Counter.degraded_entries >= 1
   (* Re-arming on a healthy ladder is a no-op probe, not a second
      recovery. *)
   && L.try_rearm t
-  && L.rearms t = 1
+  && Metrics.get (L.counters t) L.Counter.rearms = 1
 
 (* --- degraded-mode crash matrix --- *)
 

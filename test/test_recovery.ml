@@ -35,16 +35,16 @@ let test_warm_recovery () =
   D.schedule_leader_crash d ~at:(Netsim.Vtime.of_s 2)
     ~restart_after:(Netsim.Vtime.of_s 1) ();
   ignore (D.run ~until:(Netsim.Vtime.of_s 15) d);
-  let r = D.recovery_stats d in
-  Alcotest.(check int) "one crash" 1 r.D.leader_crashes;
-  Alcotest.(check int) "one warm restart" 1 r.D.warm_restarts;
-  Alcotest.(check int) "no cold restart" 0 r.D.cold_restarts;
+  let r = Metrics.find (D.counters d) in
+  Alcotest.(check int) "one crash" 1 (r D.Counter.leader_crashes);
+  Alcotest.(check int) "one warm restart" 1 (r D.Counter.warm_restarts);
+  Alcotest.(check int) "no cold restart" 0 (r D.Counter.cold_restarts);
   Alcotest.(check int) "every session challenged" n_members
-    r.D.challenges_sent;
+    (r D.Counter.challenges_sent);
   Alcotest.(check int) "every session recovered" n_members
-    (D.sessions_recovered d);
-  Alcotest.(check int) "no challenge failed" 0 r.D.challenges_failed;
-  Alcotest.(check int) "nobody fell back cold" 0 r.D.cold_reauths;
+    (Metrics.find (D.counters d) Leader.Counter.sessions_recovered);
+  Alcotest.(check int) "no challenge failed" 0 (r D.Counter.challenges_failed);
+  Alcotest.(check int) "nobody fell back cold" 0 (r D.Counter.cold_reauths);
   Alcotest.(check bool) "views converged" true (D.view_converged d);
   (* The crucial economy: the offline auditor sees exactly one
      completed password handshake per member across the WHOLE trace —
@@ -62,11 +62,11 @@ let test_cold_restart_control () =
   D.schedule_leader_crash d ~at:(Netsim.Vtime.of_s 2)
     ~restart_after:(Netsim.Vtime.of_s 1) ~warm:false ();
   ignore (D.run ~until:(Netsim.Vtime.of_s 30) d);
-  let r = D.recovery_stats d in
-  Alcotest.(check int) "one cold restart" 1 r.D.cold_restarts;
-  Alcotest.(check int) "nothing recovered warm" 0 (D.sessions_recovered d);
-  Alcotest.(check int) "everyone re-authenticated" n_members r.D.cold_reauths;
-  Alcotest.(check int) "no beacons sent" 0 r.D.cold_beacons_sent;
+  let r = Metrics.find (D.counters d) in
+  Alcotest.(check int) "one cold restart" 1 (r D.Counter.cold_restarts);
+  Alcotest.(check int) "nothing recovered warm" 0 (Metrics.find (D.counters d) Leader.Counter.sessions_recovered);
+  Alcotest.(check int) "everyone re-authenticated" n_members (r D.Counter.cold_reauths);
+  Alcotest.(check int) "no beacons sent" 0 (r D.Counter.cold_beacons_sent);
   Alcotest.(check bool) "views converged anyway" true (D.view_converged d);
   (* The price of cold: a second full handshake per member. *)
   Alcotest.(check int) "handshakes doubled" (2 * n_members)
@@ -79,11 +79,11 @@ let test_crash_while_leader_down_drops_frames () =
   D.crash_leader d;
   Alcotest.(check bool) "down" true (D.leader_down d);
   D.crash_leader d (* idempotent *);
-  Alcotest.(check int) "counted once" 1 (D.recovery_stats d).D.leader_crashes;
+  Alcotest.(check int) "counted once" 1 (Metrics.find (D.counters d) D.Counter.leader_crashes);
   (* Members probe a dead leader without wedging the run. *)
   ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
   Alcotest.(check bool) "probes went out" true
-    ((D.recovery_stats d).D.probes_sent > 0);
+    ((Metrics.find (D.counters d) D.Counter.probes_sent) > 0);
   ignore (D.restart_leader d);
   ignore (D.run ~until:(Netsim.Vtime.of_s 20) d);
   Alcotest.(check bool) "recovers after a long outage" true
@@ -114,17 +114,17 @@ let test_acceptance_crash_plus_partition () =
       D.schedule_leader_crash d ~at:(Netsim.Vtime.of_s 2)
         ~restart_after:(Netsim.Vtime.of_s 1) ();
       ignore (D.run ~until:(Netsim.Vtime.of_s 30) d);
-      let r = D.recovery_stats d in
+      let r = Metrics.find (D.counters d) in
       let tag msg = Printf.sprintf "%s (seed %Ld)" msg seed in
       (* carol and dave can answer their challenges; alice and bob are
          cut off past the challenge timeout, so they must come back
          cold via the anti-entropy watchdog. *)
       Alcotest.(check int) (tag "reachable sessions recovered warm") 2
-        (D.sessions_recovered d);
+        (Metrics.find (D.counters d) Leader.Counter.sessions_recovered);
       Alcotest.(check int) (tag "partitioned challenges failed") 2
-        r.D.challenges_failed;
+        (r D.Counter.challenges_failed);
       Alcotest.(check int) (tag "partitioned members re-authenticated") 2
-        r.D.cold_reauths;
+        (r D.Counter.cold_reauths);
       Alcotest.(check bool) (tag "views converged within the bound") true
         (D.view_converged d))
     (List.init 10 (fun i -> Int64.of_int (i + 1)))
@@ -142,9 +142,11 @@ let test_deterministic_replay () =
     (Netsim.Trace.entries (Netsim.Network.trace (D.net a))
     = Netsim.Trace.entries (Netsim.Network.trace (D.net b)));
   Alcotest.(check (list (pair string int))) "identical recovery counters"
-    (D.recovery_counters a) (D.recovery_counters b);
+    (Metrics.row (D.counters a) D.recovery_row)
+    (Metrics.row (D.counters b) D.recovery_row);
   Alcotest.(check (list (pair string int))) "identical retry counters"
-    (D.retry_counters a) (D.retry_counters b);
+    (Metrics.row (D.counters a) D.retry_row)
+    (Metrics.row (D.counters b) D.retry_row);
   Alcotest.(check bool) "identical journal bytes" true
     (D.journal_bytes a = D.journal_bytes b)
 
@@ -186,10 +188,10 @@ let test_truncated_journal_partial_recovery () =
   ignore (D.run ~until:(Netsim.Vtime.of_s 30) d);
   let surviving = List.length (J.state_of_records prefix).J.sessions in
   Alcotest.(check int) "journalled sessions recovered warm" surviving
-    (D.sessions_recovered d);
+    (Metrics.find (D.counters d) Leader.Counter.sessions_recovered);
   Alcotest.(check int) "dropped members came back cold"
     (n_members - surviving)
-    (D.recovery_stats d).D.cold_reauths;
+    (Metrics.find (D.counters d) D.Counter.cold_reauths);
   Alcotest.(check bool) "views converged" true (D.view_converged d)
 
 (* --- cold-restart beacons (§ storage/beacon PR) --- *)
@@ -223,15 +225,15 @@ let test_beacon_beats_watchdog () =
   let control_d, control_t =
     arm { D.default_recovery with D.beacon_on_cold = false }
   in
-  let br = D.recovery_stats beacon_d and cr = D.recovery_stats control_d in
+  let br = Metrics.find (D.counters beacon_d) and cr = Metrics.find (D.counters control_d) in
   Alcotest.(check int) "beacons broadcast to every member" n_members
-    br.D.cold_beacons_sent;
+    (br D.Counter.cold_beacons_sent);
   Alcotest.(check int) "everyone rejoined via the beacon" n_members
-    br.D.beacon_reauths;
-  Alcotest.(check int) "nobody waited out the watchdog" 0 br.D.cold_reauths;
+    (br D.Counter.beacon_reauths);
+  Alcotest.(check int) "nobody waited out the watchdog" 0 (br D.Counter.cold_reauths);
   Alcotest.(check int) "control: everyone via the watchdog" n_members
-    cr.D.cold_reauths;
-  Alcotest.(check int) "control: no beacon rejoins" 0 cr.D.beacon_reauths;
+    (cr D.Counter.cold_reauths);
+  Alcotest.(check int) "control: no beacon rejoins" 0 (cr D.Counter.beacon_reauths);
   (* The latency claim (E19): the watchdog path cannot beat
      [reset_after] past the last beacon, while the beacon path needs
      only a few RTTs after the restart. *)
@@ -377,7 +379,7 @@ let test_no_recovery_layer_unchanged () =
   ignore (D.run ~until:(Netsim.Vtime.of_s 10) d);
   Alcotest.(check bool) "no journal" true (D.journal_bytes d = None);
   Alcotest.(check int) "no beacons"
-    0 (D.recovery_stats d).D.digests_broadcast;
+    0 (Metrics.find (D.counters d) D.Counter.digests_broadcast);
   Alcotest.(check bool) "converged" true (D.converged d)
 
 (* A second warm restart inside one challenge scan period must leave
@@ -402,7 +404,7 @@ let test_back_to_back_restarts_one_scan () =
         ignore (D.restart_leader d))
       restart_at;
     ignore (D.run ~until:(Netsim.Vtime.of_s 6) d);
-    (D.recovery_stats d).D.challenge_retransmits
+    (Metrics.find (D.counters d) D.Counter.challenge_retransmits)
   in
   let once = retransmits ~restart_at:[ Netsim.Vtime.of_s 2 ] in
   Alcotest.(check bool) "carol's challenge is retransmitted" true (once > 0);

@@ -101,9 +101,9 @@ let test_gap_detected_and_repaired () =
     (Replication.Replica.contents p.replica <> J.contents p.journal);
   converge p;
   check_converged ~msg:"heartbeat-driven catch-up" p;
-  let stats = Replication.Replica.stats p.replica in
+  let stats = Replication.Replica.counters p.replica in
   Alcotest.(check bool) "gap fetches happened" true
-    (stats.Netsim.Stats.gap_fetches >= 1)
+    ((Metrics.get stats Replication.Counter.gap_fetches) >= 1)
 
 let test_forged_key_rejected () =
   let p = make_pair () in
@@ -131,9 +131,9 @@ let test_forged_key_rejected () =
     (List.length (Replication.Replica.handle_frame p.replica frame));
   Alcotest.(check string) "replica untouched" before
     (Replication.Replica.contents p.replica);
-  let stats = Replication.Replica.stats p.replica in
+  let stats = Replication.Replica.counters p.replica in
   Alcotest.(check bool) "counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_forged) >= 1);
   Alcotest.(check bool) "not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -160,9 +160,9 @@ let test_spliced_frame_rejected () =
     (List.length (Replication.Replica.handle_frame b2 rewritten));
   Alcotest.(check string) "b2 still empty" ""
     (Replication.Replica.contents b2);
-  let stats = Replication.Replica.stats b2 in
+  let stats = Replication.Replica.counters b2 in
   Alcotest.(check bool) "both counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 2)
+    ((Metrics.get stats Replication.Counter.rejected_forged) >= 2)
 
 let test_replayed_record_inert () =
   let p = make_pair () in
@@ -185,9 +185,9 @@ let test_replayed_record_inert () =
     (Replication.Replica.contents p.replica);
   Alcotest.(check int) "sequence window unchanged" expected
     (Replication.Replica.expected p.replica);
-  let stats = Replication.Replica.stats p.replica in
+  let stats = Replication.Replica.counters p.replica in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_replayed) >= 1);
   Alcotest.(check bool) "replay is not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -209,9 +209,9 @@ let test_replayed_heartbeat_not_liveness () =
     (List.length (Replication.Replica.handle_frame p.replica old_hb));
   Alcotest.(check bool) "replayed heartbeat is not liveness" false
     (Replication.Replica.take_activity p.replica);
-  let stats = Replication.Replica.stats p.replica in
+  let stats = Replication.Replica.counters p.replica in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1)
+    ((Metrics.get stats Replication.Counter.rejected_replayed) >= 1)
 
 let test_stale_term_rejected () =
   (* The replica adopts term 2 from a successor's stream; the dead
@@ -252,11 +252,11 @@ let test_stale_term_rejected () =
            (List.length other)));
   Alcotest.(check string) "replica untouched by the dead term" before
     (Replication.Replica.contents p.replica);
-  let stats = Replication.Replica.stats p.replica in
+  let stats = Replication.Replica.counters p.replica in
   Alcotest.(check bool) "counted as stale" true
-    (stats.Netsim.Stats.rejected_stale >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_stale) >= 1);
   Alcotest.(check bool) "a notice was sent" true
-    (stats.Netsim.Stats.stale_notices >= 1);
+    ((Metrics.get stats Replication.Counter.stale_notices) >= 1);
   Alcotest.(check bool) "stale term is not liveness" false
     (Replication.Replica.take_activity p.replica)
 
@@ -288,15 +288,15 @@ let test_stale_notice_demotes_source () =
   Replication.Source.handle_frame p.source notice;
   Alcotest.(check bool) "authentic notice supersedes" true
     (Replication.Source.superseded p.source);
-  let stats = Replication.Source.stats p.source in
+  let stats = Replication.Source.counters p.source in
   Alcotest.(check int) "sourcing stopped once" 1
-    stats.Netsim.Stats.stale_sourcing_stopped;
+    (Metrics.get stats Replication.Counter.stale_sourcing_stopped);
   (* Idempotent: a second delivery is a replay against a source that
      already stood down — counted, no second callback. *)
   Replication.Source.handle_frame p.source notice;
-  let stats = Replication.Source.stats p.source in
+  let stats = Replication.Source.counters p.source in
   Alcotest.(check int) "no double demotion" 1
-    stats.Netsim.Stats.stale_sourcing_stopped
+    (Metrics.get stats Replication.Counter.stale_sourcing_stopped)
 
 let test_forged_stale_notice_rejected () =
   (* A fabricated "you are stale" without K_r must never demote a live
@@ -316,9 +316,9 @@ let test_forged_stale_notice_rejected () =
   Replication.Source.handle_frame p.source forged;
   Alcotest.(check bool) "forged notice does not demote" false
     (Replication.Source.superseded p.source);
-  let stats = Replication.Source.stats p.source in
+  let stats = Replication.Source.counters p.source in
   Alcotest.(check bool) "counted as forged" true
-    (stats.Netsim.Stats.rejected_forged >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_forged) >= 1);
   (* A genuinely sealed notice whose payload names another source is
      spliced, not ours to act on. *)
   let spliced =
@@ -352,9 +352,9 @@ let test_replayed_stale_notice_inert () =
   Replication.Source.handle_frame p.source old_notice;
   Alcotest.(check bool) "replayed notice does not demote" false
     (Replication.Source.superseded p.source);
-  let stats = Replication.Source.stats p.source in
+  let stats = Replication.Source.counters p.source in
   Alcotest.(check bool) "counted as replayed" true
-    (stats.Netsim.Stats.rejected_replayed >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_replayed) >= 1);
   (* And a degenerate one claiming a NON-higher superseding term is
      equally inert even with the right stale_term. *)
   let non_higher =
@@ -393,11 +393,11 @@ let test_peer_record_demotes_lower_term () =
     old_q;
   Alcotest.(check bool) "higher term unmoved" false
     (Replication.Source.superseded new_s);
-  let stats = Replication.Source.stats new_s in
+  let stats = Replication.Source.counters new_s in
   Alcotest.(check bool) "zombie traffic counted stale" true
-    (stats.Netsim.Stats.rejected_stale >= 1);
+    ((Metrics.get stats Replication.Counter.rejected_stale) >= 1);
   Alcotest.(check bool) "demotion signals queued" true
-    (stats.Netsim.Stats.stale_notices >= 1);
+    ((Metrics.get stats Replication.Counter.stale_notices) >= 1);
   (* ...and the notices (plus the live stream itself) demote it. *)
   Queue.iter
     (fun f ->
@@ -615,9 +615,9 @@ let test_vault_saves_beacon_epoch () =
   (* ...so every member takes the fast beacon path; nobody rejects the
      beacon as stale and waits out the anti-entropy watchdog. *)
   ignore (D.run ~until:(Netsim.Vtime.of_s 8) d);
-  let rs = D.recovery_stats d in
-  Alcotest.(check int) "everyone rejoined via the beacon" 3 rs.D.beacon_reauths;
-  Alcotest.(check int) "nobody paid the watchdog" 0 rs.D.cold_reauths;
+  let rs = Metrics.find (D.counters d) in
+  Alcotest.(check int) "everyone rejoined via the beacon" 3 (rs D.Counter.beacon_reauths);
+  Alcotest.(check int) "nobody paid the watchdog" 0 (rs D.Counter.cold_reauths);
   Alcotest.(check bool) "views converged" true (D.view_converged d)
 
 (* --- warm failover under seeded network faults --- *)
@@ -665,10 +665,10 @@ let test_warm_failover_under_loss () =
         (Printf.sprintf "all reconnected (seed %Ld)" seed)
         [ "alice"; "bob"; "carol" ]
         (Failover.connected_members t);
-      let stats = Failover.replication_stats t in
+      let stats = Failover.replication t in
       Alcotest.(check int)
         (Printf.sprintf "one warm promotion (seed %Ld)" seed)
-        1 stats.Netsim.Stats.warm_promotions;
+        1 (Metrics.get stats Replication.Counter.warm_promotions);
       let retained =
         List.length
           (List.filter

@@ -134,7 +134,7 @@ let test_fault_torn_write () =
   Alcotest.(check bool) "a strict prefix landed silently" true
     (String.length landed < 10
     && landed = String.sub "0123456789" 0 (String.length landed));
-  Alcotest.(check int) "counted" 1 (Store.Fault.counters f).Store.Fault.torn_writes
+  Alcotest.(check int) "counted" 1 (Metrics.get (Store.Fault.counters f) Store.Fault.Counter.torn_writes)
 
 let test_fault_short_write_then_heal () =
   let mem = Store.Mem.create () in
@@ -165,7 +165,7 @@ let test_fault_dropped_fsync () =
   Alcotest.(check (option string)) "fsync silently dropped" None
     (Store.Mem.durable_of mem "f");
   Alcotest.(check int) "counted" 1
-    (Store.Fault.counters f).Store.Fault.dropped_fsyncs
+    (Metrics.get (Store.Fault.counters f) Store.Fault.Counter.dropped_fsyncs)
 
 let test_fault_crash_after_k_writes () =
   let mem = Store.Mem.create () in
@@ -201,8 +201,8 @@ let test_journal_retries_transient_eio () =
     J.append j (J.Epoch_bump { key = String.make 16 'k'; epoch = e })
   done;
   Alcotest.(check bool) "EIOs were injected" true
-    ((Store.Fault.counters f).Store.Fault.eio_injected > 0);
-  Alcotest.(check bool) "journal absorbed them" true (J.eio_retries j > 0);
+    ((Metrics.get (Store.Fault.counters f) Store.Fault.Counter.eio_injected) > 0);
+  Alcotest.(check bool) "journal absorbed them" true (Metrics.get (J.counters j) J.Counter.eio_retries > 0);
   (* Every injected EIO notwithstanding, the volatile image is exactly
      the journal's acknowledged bytes. *)
   Alcotest.(check (option string)) "image matches acknowledged bytes"
