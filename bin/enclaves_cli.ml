@@ -401,8 +401,8 @@ let run_chaos members seeds loss corrupt duplicate spike_prob until_s no_retry
           (Netsim.Trace.entries (Netsim.Network.trace (D.net d)))
       else bound
     in
-    let row = Metrics.row (D.counters d) in
-    let rtx = Metrics.find (D.counters d) in
+    let counters = D.counters d in
+    let row = Metrics.row counters and rtx = Metrics.find counters in
     Printf.bprintf b
       "seed=%-3Ld %-9s t=%8.3fs  rtx: hs=%-3d keydist=%-3d admin=%-3d gc=%d \
        resets=%d\n"
@@ -1028,9 +1028,7 @@ let run_intrude arm_str members seeds until_s no_admission profile json
     in
     (* Read before the post-containment probe below runs the clock on. *)
     let blocked = Metrics.find (D.counters d) DC.injections_blocked in
-    let rekeys =
-      Metrics.find (D.counters d) S.Counter.emergency_rekeys
-    in
+    let rekeys = Metrics.find (D.counters d) S.Counter.emergency_rekeys in
     let suspect = if framing then victim else fst Scenario.insider in
     let level = Option.map (fun sn -> S.level sn suspect) (D.sentinel d) in
     let wire_level =
@@ -1085,8 +1083,7 @@ let run_intrude arm_str members seeds until_s no_admission profile json
           [
             ("victim", Json.Str victim);
             ("wire_level", Json.Str (level_name wire_level));
-            ( "injections_blocked",
-              Json.Int blocked );
+            ("injections_blocked", Json.Int blocked);
           ]
         else []) )
   in
@@ -1453,7 +1450,8 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
         List.iter (fun (n, _) -> D.join d n) late;
         Scenario.run_until d until_s);
     let wedged = !wedge <> None in
-    let get = Metrics.find (D.counters d) in
+    let counters = D.counters d in
+    let row = Metrics.row counters and get = Metrics.find counters in
     let degraded = get Enclaves.Leader.Counter.degraded_entries
     and rearms = get Enclaves.Leader.Counter.rearms
     and shed = get Enclaves.Delivery.Counter.records_shed
@@ -1503,7 +1501,6 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
       | Some e -> "  [" ^ Printexc.to_string e ^ "]"
       | None -> "");
     if verbose then begin
-      let row = Metrics.row (D.counters d) in
       ff b "         resource: %a@." Metrics.pp (row D.resource_row);
       ff b "         storage:  %a@." Metrics.pp (row D.storage_row);
       ff b "         sentinel: %a@." Metrics.pp (row D.sentinel_row)
@@ -1521,8 +1518,8 @@ let run_nemesis members seeds until_s no_degrade expect_wedge out json verbose
           ("healthy_end", Json.Bool healthy_end);
           ("shed_markers_durable", Json.Bool markers_durable);
           ("bytes_bounded", Json.Bool bytes_bounded);
-          ("resource", Json.counters (Metrics.row (D.counters d) D.resource_row));
-          ("storage", Json.counters (Metrics.row (D.counters d) D.storage_row));
+          ("resource", Json.counters (row D.resource_row));
+          ("storage", Json.counters (row D.storage_row));
         ] )
   in
   let summary verdicts =

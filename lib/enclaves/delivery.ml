@@ -33,7 +33,7 @@ module Counter = struct
   let resealed = c "resealed"
   let rejected_stale = c "rejected_stale"
   let delivered_stale = c "delivered_stale"
-  let queue_bytes_hwm = Metrics.counter ~merge:Max layer "queue_bytes_hwm"
+  let queue_bytes_hwm = Metrics.high_water layer "queue_bytes_hwm"
   let records_shed = c "records_shed"
 end
 

@@ -14,10 +14,10 @@
     {!Improved.prefix_ok}-style checks used to validate §5.4's
     ordering property at runtime.
 
-    Counters are not kept here twice: each is declared once, in the
-    {!Metrics} layer of the module that counts it (the driver's own in
-    {!Improved.Counter}); {!Improved.counters} snapshots every layer of
-    a deployment, and the report rows are key lists over it. *)
+    Each counter is declared once, in the {!Metrics} layer of the
+    module that counts it (the driver's own in {!Improved.Counter});
+    {!Improved.counters} snapshots every layer of a deployment, and the
+    report rows are key lists over that snapshot. *)
 
 module Improved : sig
   type t

@@ -174,7 +174,8 @@ let retire m =
 let counters m =
   Metrics.sum Counter.layer [ m.own ]
   :: List.map2
-       (fun (layer, banked) live -> Metrics.sum layer (banked :: Option.to_list live))
+       (fun (layer, banked) live ->
+         Metrics.sum layer (banked :: Option.to_list live))
        (List.combine incarnation_layers m.banked)
        (live m)
 

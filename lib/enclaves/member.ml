@@ -76,13 +76,13 @@ type t = {
      frame). The session is NOT reset until the leader echoes Nm. *)
   mutable pending_cold : (Wire.Nonce.t * Wire.Nonce.t * int * F.t) option;
   mutable beacon_reset_pending : bool;
-  (* Anti-entropy counters (cumulative across sessions). *)
+  (* Anti-entropy beacons accepted (cumulative across sessions). *)
   mutable digests_seen : int;
+  counters : Metrics.t;  (* cumulative across sessions *)
   (* Store-and-forward delivery state (cumulative across sessions —
      the floor MUST survive a session reset, or a redelivery after a
      reconnect would apply twice). *)
   mutable delivery_floor : int;
-  counters : Metrics.t;
   mutable stale_deliveries : int;
   mutable queued_applied_rev : int list;
 }
@@ -108,8 +108,8 @@ let create_with_key ~self ~leader ~long_term ~rng =
     pending_cold = None;
     beacon_reset_pending = false;
     digests_seen = 0;
-    delivery_floor = 0;
     counters = Metrics.create Counter.layer;
+    delivery_floor = 0;
     stale_deliveries = 0;
     queued_applied_rev = [];
   }

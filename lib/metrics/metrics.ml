@@ -13,17 +13,18 @@ type t = { of_layer : layer; values : int array }
 
 let layer lname = { lname; rev_keys = []; size = 0; frozen = false }
 
-let counter ?(merge = Sum) layer name =
+let declare merge layer name =
   if layer.frozen then
     invalid_arg
-      (Printf.sprintf "Metrics.counter: %s.%s declared after an instance"
+      (Printf.sprintf "Metrics: %s.%s declared after an instance"
          layer.lname name);
   let k = { layer; index = layer.size; name; merge } in
   layer.rev_keys <- k :: layer.rev_keys;
   layer.size <- layer.size + 1;
   k
 
-let name k = k.name
+let counter = declare Sum
+let high_water = declare Max
 let keys layer = List.rev layer.rev_keys
 
 let create layer =

@@ -4,17 +4,13 @@
     sentinel's, the replication channel's, the fault-injecting disk's.
     The module declares each counter exactly once, as a {!key} of its
     layer; the counter's name, its rendering position and how it is
-    banked all follow from that one declaration. An {e instance}
+    banked (summed, or kept as a maximum) all follow from that one
+    declaration. An {e instance}
     ({!t}) holds one value per counter of its layer.
 
     Rows that mix layers (a storage row drawing on the disk's fault
     counters and the journal's retries, say) are built from key lists
     with {!row}, never by copying values into a second record. *)
-
-(** How {!bank} folds a counter into a running total. *)
-type merge =
-  | Sum  (** Event counts: totals add up. *)
-  | Max  (** High-water marks: the total is the largest value seen. *)
 
 type layer
 type key
@@ -22,11 +18,15 @@ type key
 val layer : string -> layer
 (** A new layer with no counters; the name is used in error messages. *)
 
-val counter : ?merge:merge -> layer -> string -> key
-(** Declare the next counter of the layer (default [Sum]).
+val counter : layer -> string -> key
+(** Declare the next counter of the layer: an event count, summed when
+    banked.
     @raise Invalid_argument once an instance of the layer exists. *)
 
-val name : key -> string
+val high_water : layer -> string -> key
+(** Like {!counter}, for a high-water mark: banking keeps the largest
+    value, not the sum. *)
+
 val keys : layer -> key list
 (** The layer's counters in declaration order. *)
 
@@ -49,9 +49,9 @@ val named : t -> (string * int) list
 (** Every counter of the instance, in declaration order. *)
 
 val bank : into:t -> t -> unit
-(** Fold every counter of the second instance into [into] by its
-    {!merge}: what a process does with the counters of an incarnation
-    that is about to be replaced.
+(** Fold every counter of the second instance into [into] (add it, or
+    keep the larger value of a {!high_water} mark): what a process does
+    with the counters of an incarnation that is about to be replaced.
     @raise Invalid_argument on instances of different layers. *)
 
 val sum : layer -> t list -> t

@@ -31,7 +31,7 @@ module Counter = struct
   let dropped_fsyncs = c "dropped_fsyncs"
   let eio_injected = c "eio_injected"
   let enospc_hits = c "enospc_hits"
-  let fsync_stall_ms_max = Metrics.counter ~merge:Max layer "fsync_stall_ms_max"
+  let fsync_stall_ms_max = Metrics.high_water layer "fsync_stall_ms_max"
 end
 
 type t = {

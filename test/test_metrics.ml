@@ -9,7 +9,7 @@ let test_declaration_order () =
   let layer = Metrics.layer "order" in
   let zeta = Metrics.counter layer "zeta" in
   let alpha = Metrics.counter layer "alpha" in
-  let mid = Metrics.counter ~merge:Metrics.Max layer "mid" in
+  let mid = Metrics.high_water layer "mid" in
   let c = Metrics.create layer in
   Metrics.incr c alpha;
   Metrics.add c zeta 5;
@@ -24,7 +24,7 @@ let test_declaration_order () =
     [ ("mid", 7); ("zeta", 5) ]
     (Metrics.row [ c ] [ mid; zeta ]);
   Alcotest.check_raises "no declaration after an instance"
-    (Invalid_argument "Metrics.counter: order.late declared after an instance")
+    (Invalid_argument "Metrics: order.late declared after an instance")
     (fun () -> ignore (Metrics.counter layer "late"))
 
 let test_sum_and_max_banking () =
