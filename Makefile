@@ -194,11 +194,13 @@ verdicts: build
 crash-matrix:
 	dune exec bin/enclaves_cli.exe -- crash-matrix --appends 24 --compact-every 8
 
-# The journal's totality property (truncation/bit-flip recovery) plus
-# the crash-recovery scenarios and the storage layer, as a focused
-# filter over the test tree.
+# The record logs' totality properties (truncation/bit-flip recovery;
+# the journal's in `journal`, the delivery queue's with its unit tests
+# in `delivery`) plus the crash-recovery scenarios and the storage
+# layer, as a focused filter over the test tree.
 journal-fuzz:
 	dune exec test/test_main.exe -- test journal
+	dune exec test/test_main.exe -- test delivery
 	dune exec test/test_main.exe -- test recovery
 	dune exec test/test_main.exe -- test store
 

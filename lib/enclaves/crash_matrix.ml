@@ -86,6 +86,115 @@ let max_epoch_mentioned records =
       | _ -> acc)
     0 records
 
+(* The loop every matrix shares, over one log file of a recorded
+   workload: enumerate every crash image of [ops] and check that
+   replay and [recover] are total on each (plus the instance's own
+   [check] on the replayed records and state); at every acknowledged
+   checkpoint check that the durable image equals the acknowledged
+   bytes and replays Clean to the acknowledged state (when one is
+   given); and, with [monotone], that the named durable floor never
+   moves backward across boundaries in time order. [recover] returns a
+   detail when the recovered image is wrong. *)
+let matrix ~name ~file ~replay ~fold ~check ~recover ?monotone ~torn
+    ~checkpoints ops =
+  let images = CP.enumerate ~torn ops in
+  let violations = ref [] in
+  let flag image invariant detail =
+    violations := { image; invariant; detail } :: !violations
+  in
+  let file_in files = Option.value ~default:"" (List.assoc_opt file files) in
+  let clean = ref 0 and damaged = ref 0 in
+  let check_image (img : CP.image) =
+    let bytes = file_in img.CP.files in
+    match replay bytes with
+    | exception e ->
+        flag img.CP.label "replay-total"
+          (Printf.sprintf "%s replay raised %s" name (Printexc.to_string e))
+    | records, status -> (
+        (match status with
+        | Store.Log.Clean -> incr clean
+        | Store.Log.Damaged _ -> incr damaged);
+        let state = fold records in
+        check ~flag:(flag img.CP.label) records state;
+        match recover bytes state with
+        | exception e ->
+            flag img.CP.label "recover-total"
+              (Printf.sprintf "%s recover raised %s" name
+                 (Printexc.to_string e))
+        | Some detail -> flag img.CP.label "recover-total" detail
+        | None -> ())
+  in
+  List.iter check_image images;
+  List.iter
+    (fun (boundary, bytes, acked) ->
+      let label = Printf.sprintf "%s checkpoint at boundary %d" name boundary in
+      let durable = file_in (CP.durable_at ops boundary) in
+      if durable <> bytes then
+        flag label "durability"
+          (Printf.sprintf "durable image (%d bytes) != acknowledged %s (%d bytes)"
+             (String.length durable) name (String.length bytes))
+      else if durable <> "" then
+        match replay durable with
+        | _, Store.Log.Damaged _ ->
+            flag label "durability"
+              (Printf.sprintf "acknowledged %s replays damaged" name)
+        | records, Store.Log.Clean -> (
+            match acked with
+            | Some st when fold records <> st ->
+                flag label "durability"
+                  (Printf.sprintf
+                     "replayed %s state differs from acknowledged state" name)
+            | _ -> ()))
+    checkpoints;
+  let n_ops = List.length ops in
+  Option.iter
+    (fun (invariant, floor_of) ->
+      let last = ref 0 in
+      for b = 0 to n_ops do
+        let f = floor_of (fold (fst (replay (file_in (CP.durable_at ops b))))) in
+        if f < !last then
+          flag
+            (Printf.sprintf "boundary %d: durable" b)
+            invariant
+            (Printf.sprintf "durable floor regressed %d -> %d" !last f);
+        last := max !last f
+      done)
+    monotone;
+  {
+    ops = n_ops;
+    boundaries = n_ops + 1;
+    images = List.length images;
+    unique_images = CP.dedup_count images;
+    clean = !clean;
+    damaged = !damaged;
+    checkpoints = List.length checkpoints;
+    violations = List.rev !violations;
+  }
+
+let journal_invariants ~flag records (state : Journal.state) =
+  (* Non-resurrection: the recovered session set must match the
+     last-event-wins fold — in particular a member whose last record
+     is a close must be absent. *)
+  let expect = alive_per_records records in
+  let got = List.map fst state.Journal.sessions in
+  if got <> expect then
+    flag "non-resurrection"
+      (Printf.sprintf "recovered sessions [%s], last-event fold says [%s]"
+         (String.concat ", " got)
+         (String.concat ", " expect));
+  (* Epoch monotonicity within the image. *)
+  let floor = max_epoch_mentioned records in
+  if state.Journal.next_epoch <= floor then
+    flag "epoch-monotone"
+      (Printf.sprintf "next_epoch %d does not clear max journalled epoch %d"
+         state.Journal.next_epoch floor);
+  match state.Journal.group_key with
+  | Some (_, e) when e >= state.Journal.next_epoch ->
+      flag "epoch-monotone"
+        (Printf.sprintf "group epoch %d >= next_epoch %d" e
+           state.Journal.next_epoch)
+  | _ -> ()
+
 let run ?(members = 4) ?(appends = 24) ?(compact_every = 8) ?(seed = 11L)
     ?(torn = true) () =
   let rng = Prng.Splitmix.create seed in
@@ -99,11 +208,11 @@ let run ?(members = 4) ?(appends = 24) ?(compact_every = 8) ?(seed = 11L)
   let disk = CP.handle rec_ in
   let j = Journal.create ~compact_every ~disk () in
   (* Durability checkpoints: after each journal mutation returns, the
-     ops performed so far and the state the journal acknowledged. *)
+     ops performed so far and what the journal acknowledged. *)
   let checkpoints = ref [] in
   let mark () =
     checkpoints :=
-      (List.length (CP.ops rec_), Journal.state j, Journal.contents j)
+      (List.length (CP.ops rec_), Journal.contents j, Some (Journal.state j))
       :: !checkpoints
   in
   mark ();
@@ -133,117 +242,54 @@ let run ?(members = 4) ?(appends = 24) ?(compact_every = 8) ?(seed = 11L)
   for _ = 1 to appends do
     bump ()
   done;
-  let ops = CP.ops rec_ in
-  let images = CP.enumerate ~torn ops in
-  let violations = ref [] in
-  let flag image invariant detail = violations := { image; invariant; detail } :: !violations in
-  let clean = ref 0 and damaged = ref 0 in
-  let check_image (img : CP.image) =
-    let bytes =
-      Option.value ~default:"" (List.assoc_opt (Journal.file j) img.CP.files)
+  (* Leader recovery must accept every image: rebuild and check it
+     challenges exactly the journalled sessions. *)
+  let recover bytes (state : Journal.state) =
+    let j', state', _ = Journal.recover bytes in
+    let lrng = Prng.Splitmix.create (Int64.add seed 1L) in
+    let _, frames =
+      Leader.recover ~self:"leader" ~rng:lrng ~directory ~journal:j'
+        ~state:state' ()
     in
-    match Journal.replay bytes with
-    | exception e ->
-        flag img.CP.label "replay-total"
-          (Printf.sprintf "replay raised %s" (Printexc.to_string e))
-    | records, status ->
-        (match status with
-        | Journal.Clean -> incr clean
-        | Journal.Damaged _ -> incr damaged);
-        let state = Journal.state_of_records records in
-        (* Non-resurrection: the recovered session set must match the
-           last-event-wins fold — in particular a member whose last
-           record is a close must be absent. *)
-        let expect = alive_per_records records in
-        let got = List.map fst state.Journal.sessions in
-        if got <> expect then
-          flag img.CP.label "non-resurrection"
-            (Printf.sprintf "recovered sessions [%s], last-event fold says [%s]"
-               (String.concat ", " got)
-               (String.concat ", " expect));
-        (* Epoch monotonicity within the image. *)
-        let floor = max_epoch_mentioned records in
-        if state.Journal.next_epoch <= floor then
-          flag img.CP.label "epoch-monotone"
-            (Printf.sprintf "next_epoch %d does not clear max journalled epoch %d"
-               state.Journal.next_epoch floor);
-        (match state.Journal.group_key with
-        | Some (_, e) when e >= state.Journal.next_epoch ->
-            flag img.CP.label "epoch-monotone"
-              (Printf.sprintf "group epoch %d >= next_epoch %d" e
-                 state.Journal.next_epoch)
-        | _ -> ());
-        (* Leader recovery must accept every image: rebuild and check
-           it challenges exactly the journalled sessions. *)
-        (match
-           let j', state', _ = Journal.recover bytes in
-           let lrng = Prng.Splitmix.create (Int64.add seed 1L) in
-           Leader.recover ~self:"leader" ~rng:lrng ~directory ~journal:j'
-             ~state:state' ()
-         with
-        | exception e ->
-            flag img.CP.label "recover-total"
-              (Printf.sprintf "Leader.recover raised %s" (Printexc.to_string e))
-        | _, frames ->
-            let n = List.length state.Journal.sessions in
-            if List.length frames <> n then
-              flag img.CP.label "recover-total"
-                (Printf.sprintf "%d recovery challenges for %d sessions"
-                   (List.length frames) n))
+    let n = List.length state.Journal.sessions in
+    if List.length frames <> n then
+      Some
+        (Printf.sprintf "%d recovery challenges for %d sessions"
+           (List.length frames) n)
+    else None
   in
-  List.iter check_image images;
-  (* Durability lower bound: at every acknowledged checkpoint the
-     durable image replays Clean to the acknowledged bytes. *)
-  let cps = List.rev !checkpoints in
-  List.iter
-    (fun (boundary, state, bytes) ->
-      let label = Printf.sprintf "checkpoint at boundary %d" boundary in
-      let durable =
-        Option.value ~default:""
-          (List.assoc_opt (Journal.file j) (CP.durable_at ops boundary))
-      in
-      if durable <> bytes then
-        flag label "durability"
-          (Printf.sprintf "durable image (%d bytes) != acknowledged journal (%d bytes)"
-             (String.length durable) (String.length bytes))
-      else
-        match Journal.replay durable with
-        | _, Journal.Damaged _ ->
-            flag label "durability" "acknowledged journal replays damaged"
-        | records, Journal.Clean ->
-            let got = Journal.state_of_records records in
-            if got <> state then
-              flag label "durability"
-                "replayed state differs from acknowledged state")
-    cps;
-  (* Epoch floor across time: walking the boundaries in order, the
-     durable next_epoch never decreases. *)
-  let n_ops = List.length ops in
-  let last_floor = ref 0 in
-  for b = 0 to n_ops do
-    let durable =
-      Option.value ~default:""
-        (List.assoc_opt (Journal.file j) (CP.durable_at ops b))
-    in
-    let records, _ = Journal.replay durable in
-    let e = (Journal.state_of_records records).Journal.next_epoch in
-    if e < !last_floor then
-      flag
-        (Printf.sprintf "boundary %d: durable" b)
-        "epoch-monotone"
-        (Printf.sprintf "durable epoch floor regressed %d -> %d" !last_floor e);
-    last_floor := max !last_floor e
-  done;
-  {
-    ops = n_ops;
-    boundaries = n_ops + 1;
-    images = List.length images;
-    unique_images = CP.dedup_count images;
-    clean = !clean;
-    damaged = !damaged;
-    checkpoints = List.length cps;
-    violations = List.rev !violations;
-  }
+  matrix ~name:"journal" ~file:(Journal.file j) ~replay:Journal.replay
+    ~fold:Journal.state_of_records ~check:journal_invariants ~recover
+    ~monotone:("epoch-monotone", fun s -> s.Journal.next_epoch)
+    ~torn ~checkpoints:(List.rev !checkpoints) (CP.ops rec_)
+
+(* No duplicate-after-replay: pending seqs strictly increasing, none
+   below the ack floor, none at or past next_seq. *)
+let queue_invariants ~flag _records (state : Store.Queue.state) =
+  let rec walk last = function
+    | [] -> ()
+    | (e : Store.Queue.entry) :: rest ->
+        if e.Store.Queue.seq <= last then
+          flag "no-duplicate"
+            (Printf.sprintf "pending seq %d repeats or regresses after %d"
+               e.Store.Queue.seq last);
+        if e.Store.Queue.seq < state.Store.Queue.floor then
+          flag "no-duplicate"
+            (Printf.sprintf "pending seq %d below ack floor %d"
+               e.Store.Queue.seq state.Store.Queue.floor);
+        if e.Store.Queue.seq >= state.Store.Queue.next_seq then
+          flag "no-duplicate"
+            (Printf.sprintf "pending seq %d at or past next_seq %d"
+               e.Store.Queue.seq state.Store.Queue.next_seq);
+        walk e.Store.Queue.seq rest
+  in
+  walk (-1) state.Store.Queue.pending
+
+let queue_recover bytes state =
+  let q, _, _ = Store.Queue.recover bytes in
+  if Store.Queue.state q <> state then
+    Some "recovered queue state differs from replayed fold"
+  else None
 
 (* The same matrix over a store-and-forward delivery queue: a workload
    of pushes (across several epochs), cumulative acks, policy drops and
@@ -272,7 +318,9 @@ let run_queue ?(pushes = 18) ?(compact_every = 6) ?(seed = 12L) ?(torn = true)
   let checkpoints = ref [] in
   let mark () =
     checkpoints :=
-      (List.length (CP.ops rec_), Store.Queue.state q, Store.Queue.contents q)
+      ( List.length (CP.ops rec_),
+        Store.Queue.contents q,
+        Some (Store.Queue.state q) )
       :: !checkpoints
   in
   mark ();
@@ -280,10 +328,8 @@ let run_queue ?(pushes = 18) ?(compact_every = 6) ?(seed = 12L) ?(torn = true)
      ack, one policy drop, more pushes (forcing compactions past the
      ack floor), a final ack. *)
   let payload i = Printf.sprintf "payload-%d-%d" i (Prng.Splitmix.next_int rng 1000) in
-  let pushed = ref [] in
   for i = 1 to pushes do
     let e = Store.Queue.push q ~epoch:(i / 4) (payload i) in
-    pushed := e :: !pushed;
     mark ();
     if i = pushes / 3 then begin
       Store.Queue.ack q ~upto:(e.Store.Queue.seq - 1);
@@ -296,111 +342,11 @@ let run_queue ?(pushes = 18) ?(compact_every = 6) ?(seed = 12L) ?(torn = true)
   done;
   Store.Queue.ack q ~upto:(Store.Queue.next_seq q - 2);
   mark ();
-  let ops = CP.ops rec_ in
-  let images = CP.enumerate ~torn ops in
-  let violations = ref [] in
-  let flag image invariant detail =
-    violations := { image; invariant; detail } :: !violations
-  in
-  let clean = ref 0 and damaged = ref 0 in
-  let check_image (img : CP.image) =
-    let bytes =
-      Option.value ~default:""
-        (List.assoc_opt (Store.Queue.file q) img.CP.files)
-    in
-    match Store.Queue.replay bytes with
-    | exception e ->
-        flag img.CP.label "replay-total"
-          (Printf.sprintf "queue replay raised %s" (Printexc.to_string e))
-    | records, status -> (
-        (match status with
-        | Store.Queue.Clean -> incr clean
-        | Store.Queue.Damaged _ -> incr damaged);
-        let state = Store.Queue.state_of_records records in
-        (* No duplicate-after-replay: pending seqs strictly increasing,
-           none below the floor, none at or past next_seq. *)
-        let rec walk last = function
-          | [] -> ()
-          | (e : Store.Queue.entry) :: rest ->
-              if e.Store.Queue.seq <= last then
-                flag img.CP.label "no-duplicate"
-                  (Printf.sprintf "pending seq %d repeats or regresses after %d"
-                     e.Store.Queue.seq last);
-              if e.Store.Queue.seq < state.Store.Queue.floor then
-                flag img.CP.label "no-duplicate"
-                  (Printf.sprintf "pending seq %d below ack floor %d"
-                     e.Store.Queue.seq state.Store.Queue.floor);
-              if e.Store.Queue.seq >= state.Store.Queue.next_seq then
-                flag img.CP.label "no-duplicate"
-                  (Printf.sprintf "pending seq %d at or past next_seq %d"
-                     e.Store.Queue.seq state.Store.Queue.next_seq);
-              walk e.Store.Queue.seq rest
-        in
-        walk (-1) state.Store.Queue.pending;
-        (* Recovery must accept the image too. *)
-        match Store.Queue.recover bytes with
-        | exception e ->
-            flag img.CP.label "recover-total"
-              (Printf.sprintf "queue recover raised %s" (Printexc.to_string e))
-        | q', state', _ ->
-            if Store.Queue.state q' <> state' then
-              flag img.CP.label "recover-total"
-                "recovered queue state differs from replayed fold")
-  in
-  List.iter check_image images;
-  (* No acknowledged-then-lost: at every acknowledged checkpoint the
-     durable image replays Clean to the acknowledged state. *)
-  let cps = List.rev !checkpoints in
-  List.iter
-    (fun (boundary, state, bytes) ->
-      let label = Printf.sprintf "queue checkpoint at boundary %d" boundary in
-      let durable =
-        Option.value ~default:""
-          (List.assoc_opt (Store.Queue.file q) (CP.durable_at ops boundary))
-      in
-      if durable <> bytes then
-        flag label "durability"
-          (Printf.sprintf
-             "durable image (%d bytes) != acknowledged queue (%d bytes)"
-             (String.length durable) (String.length bytes))
-      else
-        match Store.Queue.replay durable with
-        | _, Store.Queue.Damaged _ ->
-            flag label "durability" "acknowledged queue replays damaged"
-        | records, Store.Queue.Clean ->
-            let got = Store.Queue.state_of_records records in
-            if got <> state then
-              flag label "durability"
-                "replayed queue state differs from acknowledged state")
-    cps;
-  (* Ack-floor monotonicity across boundaries in time order. *)
-  let n_ops = List.length ops in
-  let last_floor = ref 0 in
-  for b = 0 to n_ops do
-    let durable =
-      Option.value ~default:""
-        (List.assoc_opt (Store.Queue.file q) (CP.durable_at ops b))
-    in
-    let records, _ = Store.Queue.replay durable in
-    let f = (Store.Queue.state_of_records records).Store.Queue.floor in
-    if f < !last_floor then
-      flag
-        (Printf.sprintf "boundary %d: durable" b)
-        "floor-monotone"
-        (Printf.sprintf "durable ack floor regressed %d -> %d" !last_floor f);
-    last_floor := max !last_floor f
-  done;
-  ignore !pushed;
-  {
-    ops = n_ops;
-    boundaries = n_ops + 1;
-    images = List.length images;
-    unique_images = CP.dedup_count images;
-    clean = !clean;
-    damaged = !damaged;
-    checkpoints = List.length cps;
-    violations = List.rev !violations;
-  }
+  matrix ~name:"queue" ~file:(Store.Queue.file q) ~replay:Store.Queue.replay
+    ~fold:Store.Queue.state_of_records ~check:queue_invariants
+    ~recover:queue_recover
+    ~monotone:("floor-monotone", fun s -> s.Store.Queue.floor)
+    ~torn ~checkpoints:(List.rev !checkpoints) (CP.ops rec_)
 
 (* The queue matrix composed with the resource-fault layer: the same
    crash-point enumeration, but the workload crosses an ENOSPC window
@@ -425,16 +371,14 @@ let run_degraded ?(pushes = 20) ?(compact_every = 64) ?(seed = 13L)
       ~compact_every ~disk ()
   in
   let gk i = Wire.Admin.New_group_key { key = key_of rng; epoch = i } in
+  let live () = Option.value ~default:"" (List.assoc_opt file (Delivery.files d)) in
   (* Checkpoints only where the mirror is armed and clean: inside the
      degraded window the durable image lags memory by design, so
      durability is only promised at armed boundaries. *)
   let checkpoints = ref [] in
   let mark () =
     if not (Delivery.dirty d) then
-      checkpoints :=
-        ( List.length (CP.ops rec_),
-          List.assoc_opt file (Delivery.files d) )
-        :: !checkpoints
+      checkpoints := (List.length (CP.ops rec_), live (), None) :: !checkpoints
   in
   mark ();
   let squeeze_at = pushes / 3 and release_at = 2 * pushes / 3 in
@@ -453,74 +397,20 @@ let run_degraded ?(pushes = 20) ?(compact_every = 64) ?(seed = 13L)
   let flushed = Delivery.flush d in
   mark ();
   let ops = CP.ops rec_ in
-  let images = CP.enumerate ~torn ops in
-  let violations = ref [] in
-  let flag image invariant detail =
-    violations := { image; invariant; detail } :: !violations
+  let final invariant detail = { image = "final"; invariant; detail } in
+  let before =
+    (if flushed then []
+     else [ final "rearm" "flush failed with the budget released" ])
+    @
+    if Metrics.get (Delivery.counters d) Delivery.Counter.records_shed = 0 then
+      [ final "workload" "the ENOSPC window shed nothing — matrix is vacuous" ]
+    else []
   in
-  if not flushed then
-    flag "final" "rearm" "flush failed with the budget released";
-  if Metrics.get (Delivery.counters d) Delivery.Counter.records_shed = 0 then
-    flag "final" "workload" "the ENOSPC window shed nothing — matrix is vacuous";
-  let clean = ref 0 and damaged = ref 0 in
-  let check_image (img : CP.image) =
-    let bytes = Option.value ~default:"" (List.assoc_opt file img.CP.files) in
-    match Store.Queue.replay bytes with
-    | exception e ->
-        flag img.CP.label "replay-total"
-          (Printf.sprintf "queue replay raised %s" (Printexc.to_string e))
-    | records, status -> (
-        (match status with
-        | Store.Queue.Clean -> incr clean
-        | Store.Queue.Damaged _ -> incr damaged);
-        let state = Store.Queue.state_of_records records in
-        let rec walk last = function
-          | [] -> ()
-          | (e : Store.Queue.entry) :: rest ->
-              if e.Store.Queue.seq <= last then
-                flag img.CP.label "no-duplicate"
-                  (Printf.sprintf "pending seq %d repeats or regresses after %d"
-                     e.Store.Queue.seq last);
-              if e.Store.Queue.seq < state.Store.Queue.floor then
-                flag img.CP.label "no-duplicate"
-                  (Printf.sprintf "pending seq %d below ack floor %d"
-                     e.Store.Queue.seq state.Store.Queue.floor);
-              walk e.Store.Queue.seq rest
-        in
-        walk (-1) state.Store.Queue.pending;
-        match Store.Queue.recover bytes with
-        | exception e ->
-            flag img.CP.label "recover-total"
-              (Printf.sprintf "queue recover raised %s" (Printexc.to_string e))
-        | q', state', _ ->
-            if Store.Queue.state q' <> state' then
-              flag img.CP.label "recover-total"
-                "recovered queue state differs from replayed fold")
+  let r =
+    matrix ~name:"degraded queue" ~file ~replay:Store.Queue.replay
+      ~fold:Store.Queue.state_of_records ~check:queue_invariants
+      ~recover:queue_recover ~torn ~checkpoints:(List.rev !checkpoints) ops
   in
-  List.iter check_image images;
-  (* Durability at armed checkpoints: the durable image replays Clean
-     to exactly the acknowledged image. *)
-  let cps = List.rev !checkpoints in
-  List.iter
-    (fun (boundary, live) ->
-      let label =
-        Printf.sprintf "degraded checkpoint at boundary %d" boundary
-      in
-      let durable =
-        Option.value ~default:""
-          (List.assoc_opt file (CP.durable_at ops boundary))
-      in
-      let live = Option.value ~default:"" live in
-      if durable <> live then
-        flag label "durability"
-          (Printf.sprintf "durable image (%d bytes) != armed live image (%d bytes)"
-             (String.length durable) (String.length live))
-      else if String.length durable > 0 then
-        match Store.Queue.replay durable with
-        | _, Store.Queue.Damaged _ ->
-            flag label "durability" "armed image replays damaged"
-        | _, Store.Queue.Clean -> ())
-    cps;
   (* No shed-seq resurrection: the final durable image replays to
      exactly the live post-flush state, whose pending set excludes
      every shed record. *)
@@ -528,18 +418,13 @@ let run_degraded ?(pushes = 20) ?(compact_every = 64) ?(seed = 13L)
     Option.value ~default:""
       (List.assoc_opt file (CP.durable_at ops (List.length ops)))
   in
-  let final_live = Option.value ~default:"" (List.assoc_opt file (Delivery.files d)) in
   let st_of b = Store.Queue.state_of_records (fst (Store.Queue.replay b)) in
-  if st_of final_durable <> st_of final_live then
-    flag "final" "no-resurrection"
-      "final durable image does not replay to the post-flush live state";
-  {
-    ops = List.length ops;
-    boundaries = List.length ops + 1;
-    images = List.length images;
-    unique_images = CP.dedup_count images;
-    clean = !clean;
-    damaged = !damaged;
-    checkpoints = List.length cps;
-    violations = List.rev !violations;
-  }
+  let after =
+    if st_of final_durable <> st_of (live ()) then
+      [
+        final "no-resurrection"
+          "final durable image does not replay to the post-flush live state";
+      ]
+    else []
+  in
+  { r with violations = before @ r.violations @ after }

@@ -217,15 +217,12 @@ let rec shed_global t =
 
 let enforce_budgets t =
   match t.budgets with
-  | { per_member_bytes = None; global_bytes = None } -> 0
+  | { per_member_bytes = None; global_bytes = None } -> ()
   | _ ->
-      let shed () = Metrics.get t.counters Counter.records_shed in
-      let before = shed () in
       if over_global t then
         Hashtbl.iter (fun member q -> compact_if_bloated t member q) t.queues;
       Hashtbl.iter (fun member q -> shed_member t member q) t.queues;
-      shed_global t;
-      shed () - before
+      shed_global t
 
 (* The one budget check. Every operation that appends to a queue —
    a push, an [Ack], a drain-time or quarantine [Drop] — runs inside
@@ -234,7 +231,7 @@ let enforce_budgets t =
    it.) A drain's drops are checked once, after the whole batch. *)
 let appending t f =
   let r = f () in
-  ignore (enforce_budgets t);
+  enforce_budgets t;
   r
 
 let enqueue t ~member ~epoch x =
@@ -393,13 +390,7 @@ let flush t =
       (fun member ->
         match Hashtbl.find_opt t.queues member with
         | None -> Hashtbl.remove t.dirty member
-        | Some q -> (
-            Store.Queue.set_durable q true;
-            try
-              Store.Queue.compact q;
-              Hashtbl.remove t.dirty member
-            with Store.Backend.No_space _ | Store.Backend.Stalled _ ->
-              Store.Queue.set_durable q false))
+        | Some q -> if Store.Queue.rearm q then Hashtbl.remove t.dirty member)
       (dirty_members t);
     not (dirty t)
   end

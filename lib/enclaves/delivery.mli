@@ -94,13 +94,6 @@ val enqueue : t -> member:Types.agent -> epoch:int -> Wire.Admin.t -> unit
     disk mirror is absorbed — memory stays authoritative and the
     member is marked {!dirty} for the re-arm {!flush}. *)
 
-val enforce_budgets : t -> int
-(** Shed until every byte budget holds again; returns how many records
-    were shed. Called implicitly after every operation that appends to
-    a queue ({!enqueue}, {!ack}, {!drain}, {!clear}, {!purge}); exposed
-    for harnesses that tighten budgets mid-run. Constant time when no
-    budget is set. *)
-
 val total_bytes : t -> int
 (** Summed size of all queue images — what the global budget bounds. *)
 

@@ -12,28 +12,10 @@
     "no state of the dead manager is trusted {e until it answers a
     challenge under the key only that member and the leader hold}".
 
-    {2 Format}
-
-    {v
-    header  := "EJNL" version:u8(=1)
-    record  := len:u32 payload:len sum:8
-    payload := seq:u32 tag:u8 fields...
-    v}
-
-    [sum] is SipHash-2-4 of the payload under the journal's MAC key.
-    Records are framed independently, so any {e tail} damage — a torn
-    final write, truncation at an arbitrary byte, a flipped bit — costs
-    at most the records from the damage onward: {!replay} walks
-    records in order and stops at the first length that overruns the
-    buffer, checksum mismatch, malformed payload, or out-of-sequence
-    record, returning the valid prefix. It never raises on any input.
-
-    {2 Compaction}
-
-    A [Snapshot] record captures the whole folded state; {!compact}
-    rewrites the journal as a single snapshot, and {!append}
-    auto-compacts once enough records accumulate since the last
-    snapshot, so the journal's size is bounded by the live-session
+    The journal is a {!Store.Log} record log under magic ["EJNL"]:
+    per-record SipHash framing, total {!replay} of any tail damage,
+    write-through to an optional backend, and auto-compaction into a
+    [Snapshot] record, so its size is bounded by the live-session
     count, not the session churn. *)
 
 type record =
@@ -60,7 +42,7 @@ val empty_state : state
 val pp_record : Format.formatter -> record -> unit
 val record_equal : record -> record -> bool
 
-type status =
+type status = Store.Log.status =
   | Clean  (** Every byte of the buffer parsed and verified. *)
   | Damaged of { valid_records : int; valid_bytes : int }
       (** Replay stopped early; only the prefix described here was
@@ -71,27 +53,18 @@ val pp_status : Format.formatter -> status -> unit
 type t
 
 val create :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?disk:Store.Backend.t ->
   ?file:string ->
   unit ->
   t
-(** An empty journal. [mac_key] (16 bytes, default a fixed public key)
-    keys the per-record SipHash checksum; [compact_every] (default
-    [256]) is the record count past which {!append} folds the log into
-    a snapshot.
-
-    With [disk], every mutation is mirrored through the store backend
-    to [file] (default ["journal"]) before returning: appends are an
-    incremental [pwrite] at the record's offset followed by [fsync];
-    anything that replaces the image (creation, compaction)
-    stages the full bytes in [file ^ ".tmp"], fsyncs, then atomically
-    renames over [file]. Transient [Store.Backend.Eio] is retried a
-    bounded number of times (see {!Counter.eio_retries});
-    [Store.Backend.Crashed] propagates.
-    @raise Invalid_argument if [mac_key] is not 16 bytes or
-    [compact_every < 1]. *)
+(** An empty journal. [compact_every] (default [256]) is the record
+    count past which {!append} folds the log into a snapshot. With
+    [disk], every mutation is mirrored through the store backend to
+    [file] (default ["journal"]) before returning (see
+    {!Store.Log.Mirror}); absorbed EIO retries are counted in
+    {!Counter.eio_retries}.
+    @raise Invalid_argument if [compact_every < 1]. *)
 
 val append : t -> record -> unit
 (** Append one checksummed record; may trigger auto-compaction. *)
@@ -119,11 +92,12 @@ module Counter : sig
 end
 
 val counters : t -> Metrics.t
+(** A fresh instance holding the journal's counters as of now. *)
 
 val file : t -> string
 (** The backing file name (meaningful only with a [disk] backend). *)
 
-type event =
+type event = Store.Log.event =
   | Appended of string
       (** One framed record (len + payload + checksum) was appended;
           the argument is exactly the bytes that extended the image. *)
@@ -141,13 +115,16 @@ val set_observer : t -> (event -> unit) option -> unit
 val set_durable : t -> bool -> unit
 (** Degraded-mode switch. With durability off, appends keep evolving
     the in-memory log (and still fire the observer) but nothing
-    touches the backend — the disk image goes stale. Re-arm with
-    [set_durable t true] followed by {!compact}, which republishes the
-    whole image atomically. *)
+    touches the backend — the disk image goes stale until {!rearm}. *)
 
 val durable : t -> bool
 
-val replay : ?mac_key:string -> string -> record list * status
+val rearm : t -> bool
+(** Durability back on and {!compact}, which republishes the whole
+    image atomically; [false] (and durability back off) if the store
+    still refuses it with [No_space] or [Stalled]. *)
+
+val replay : string -> record list * status
 (** [replay bytes] decodes the longest valid prefix of [bytes]. Total:
     never raises, for arbitrary (truncated, bit-flipped, adversarial)
     input. *)
@@ -157,7 +134,6 @@ val state_of_records : record list -> state
     the accumulated state; establishment/close/bump update it. *)
 
 val of_state :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?disk:Store.Backend.t ->
   ?file:string ->
@@ -167,7 +143,6 @@ val of_state :
     once the state is known. *)
 
 val recover :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?disk:Store.Backend.t ->
   ?file:string ->
@@ -180,7 +155,6 @@ val recover :
     to it. *)
 
 val load :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?file:string ->
   disk:Store.Backend.t ->

@@ -269,14 +269,7 @@ let try_rearm t =
     let journal_ok =
       match t.journal with
       | None -> true
-      | Some j -> (
-          Journal.set_durable j true;
-          try
-            Journal.compact j;
-            true
-          with Store.Backend.No_space _ | Store.Backend.Stalled _ ->
-            Journal.set_durable j false;
-            false)
+      | Some j -> Journal.rearm j
     in
     let delivery_ok () =
       match t.delivery with

@@ -378,12 +378,11 @@ module Replica = struct
     key : Sym_crypto.Key.t;
     rng : Prng.Splitmix.t;
     disk : Store.Backend.t option;
-    file : string;
     counters : Metrics.t;
-    buf : Buffer.t;
+    journal : Store.Log.Mirror.t;
     (* Latest delivery-queue image per file, mirrored from the primary
        so a promotion can rebuild the store-and-forward layer. *)
-    queues : (string, string) Hashtbl.t;
+    queues : (string, Store.Log.Mirror.t) Hashtbl.t;
     (* Latest suspicion snapshot from the primary, adopted by the
        sentinel at promotion so quarantines survive failover. Not
        persisted: the source re-ships it on every escalation and after
@@ -394,34 +393,6 @@ module Replica = struct
     mutable expected : int;
     mutable fresh_activity : bool;
   }
-
-  let max_eio_retries = 8
-
-  let with_retry f =
-    let rec go attempt =
-      try f ()
-      with Store.Backend.Eio _ when attempt < max_eio_retries ->
-        go (attempt + 1)
-    in
-    go 0
-
-  let disk_append t ~off bytes =
-    match t.disk with
-    | None -> ()
-    | Some d ->
-        with_retry (fun () -> Store.Backend.pwrite d ~file:t.file ~off bytes);
-        with_retry (fun () -> Store.Backend.fsync d ~file:t.file)
-
-  let disk_publish t =
-    match t.disk with
-    | None -> ()
-    | Some d ->
-        let bytes = Buffer.contents t.buf in
-        let tmp = t.file ^ ".tmp" in
-        with_retry (fun () -> Store.Backend.remove d ~file:tmp);
-        with_retry (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 bytes);
-        with_retry (fun () -> Store.Backend.fsync d ~file:tmp);
-        with_retry (fun () -> Store.Backend.rename d ~src:tmp ~dst:t.file)
 
   let default_file = "journal_replica"
 
@@ -435,9 +406,8 @@ module Replica = struct
       key;
       rng;
       disk;
-      file;
       counters;
-      buf = Buffer.create 256;
+      journal = Store.Log.Mirror.create ?disk file;
       queues = Hashtbl.create 8;
       suspicion = None;
       primary;
@@ -446,11 +416,11 @@ module Replica = struct
       fresh_activity = false;
     }
 
-  let contents t = Buffer.contents t.buf
+  let contents t = Store.Log.Mirror.contents t.journal
   let primary t = t.primary
   let term t = t.term
   let expected t = t.expected
-  let file t = t.file
+  let file t = Store.Log.Mirror.file t.journal
 
   let take_activity t =
     let a = t.fresh_activity in
@@ -486,29 +456,21 @@ module Replica = struct
       (P.encode_repl_fetch
          { P.b = t.self; l = t.primary; term = t.term; from_ = t.expected })
 
-  let apply_append t data =
-    let off = Buffer.length t.buf in
-    Buffer.add_string t.buf data;
-    disk_append t ~off data
-
-  let apply_image t data =
-    Buffer.clear t.buf;
-    Buffer.add_string t.buf data;
-    disk_publish t
-
   let apply_queue t ~file image =
-    Hashtbl.replace t.queues file image;
-    match t.disk with
-    | None -> ()
-    | Some d ->
-        let tmp = file ^ ".tmp" in
-        with_retry (fun () -> Store.Backend.remove d ~file:tmp);
-        with_retry (fun () -> Store.Backend.pwrite d ~file:tmp ~off:0 image);
-        with_retry (fun () -> Store.Backend.fsync d ~file:tmp);
-        with_retry (fun () -> Store.Backend.rename d ~src:tmp ~dst:file)
+    let mirror =
+      match Hashtbl.find_opt t.queues file with
+      | Some m -> m
+      | None ->
+          let m = Store.Log.Mirror.create ?disk:t.disk file in
+          Hashtbl.replace t.queues file m;
+          m
+    in
+    Store.Log.Mirror.publish mirror image
 
   let queue_images t =
-    Hashtbl.fold (fun file image acc -> (file, image) :: acc) t.queues []
+    Hashtbl.fold
+      (fun file m acc -> (file, Store.Log.Mirror.contents m) :: acc)
+      t.queues []
     |> List.sort compare
 
   let suspicion t = t.suspicion
@@ -576,7 +538,7 @@ module Replica = struct
                   end
               | P.Repl_append ->
                   if r.P.seq = t.expected then begin
-                    apply_append t r.P.data;
+                    Store.Log.Mirror.append t.journal r.P.data;
                     t.expected <- t.expected + 1;
                     t.fresh_activity <- true;
                     [ ack t ]
@@ -629,7 +591,7 @@ module Replica = struct
                   if r.P.seq >= t.expected then begin
                     (* A snapshot subsumes everything before it, so a
                        future-sequence image is itself the catch-up. *)
-                    apply_image t r.P.data;
+                    Store.Log.Mirror.publish t.journal r.P.data;
                     t.expected <- r.P.seq + 1;
                     t.fresh_activity <- true;
                     [ ack t ]

@@ -1,26 +1,14 @@
-(** Durable per-member delivery queue — an append-only, checksummed,
-    truncation-tolerant binary log of store-and-forward records.
+(** Durable per-member delivery queue — a {!Log} record log of
+    store-and-forward records.
 
     The leader keeps one of these per offline member: traffic that
-    would otherwise be dropped is [push]ed (append = [pwrite] +
-    [fsync]); when the member reconnects and acknowledges drained
-    records the [ack] floor advances and compaction reclaims
-    everything below it. The format and write-through discipline are
-    the leader journal's, so the same crash story holds: any tail
-    damage costs at most the records from the damage onward, and
-    {!replay} is total on arbitrary bytes.
-
-    {2 Format}
-
-    {v
-    header  := "EDLQ" version:u8(=1)
-    record  := len:u32 payload:len sum:8
-    payload := fseq:u32 tag:u8 fields...
-    v}
-
-    [sum] is SipHash-2-4 of the payload under the queue's MAC key;
-    [fseq] is the file-record counter (reset by compaction), distinct
-    from the delivery sequence numbers carried inside [Push] records. *)
+    would otherwise be dropped is [push]ed (durable on return); when
+    the member reconnects and acknowledges drained records the [ack]
+    floor advances and compaction reclaims everything below it. The
+    framing, write-through, compaction and total replay are
+    {!Log.Make}'s, under magic ["EDLQ"] and the queue's own public MAC
+    key. The record log's [seq] (reset by compaction) is distinct from
+    the delivery sequence numbers carried inside [Push] records. *)
 
 type entry = { seq : int; epoch : int; payload : string }
 (** One queued message: its delivery sequence number (assigned by
@@ -48,31 +36,29 @@ type record =
 val pp_record : Format.formatter -> record -> unit
 val record_equal : record -> record -> bool
 
-type status = Clean | Damaged of { valid_records : int; valid_bytes : int }
+type status = Log.status =
+  | Clean
+  | Damaged of { valid_records : int; valid_bytes : int }
 
 val pp_status : Format.formatter -> status -> unit
 
 type t
 
 val create :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?disk:Backend.t ->
   ?file:string ->
   ?durable:bool ->
   unit ->
   t
-(** An empty queue. [mac_key] (16 bytes, default a fixed public key)
-    keys the per-record SipHash checksum; [compact_every] (default
-    [64]) is the record count past which mutations fold the log into a
-    snapshot of the pending suffix. With [disk], every mutation is
-    mirrored through the backend to [file] (default ["queue"]) before
-    returning, with the journal's append/publish/EIO-retry discipline.
-    [durable] (default true) is the initial state of the
-    {!set_durable} switch — [false] lets a queue be created while the
-    backend is refusing writes, to be re-armed later.
-    @raise Invalid_argument if [mac_key] is not 16 bytes or
-    [compact_every < 1]. *)
+(** An empty queue. [compact_every] (default [64]) is the record count
+    past which mutations fold the log into a snapshot of the pending
+    suffix. With [disk], every mutation is mirrored through the
+    backend to [file] (default ["queue"]) before returning (see
+    {!Log.Mirror}). [durable] (default true) is the initial state of
+    the {!set_durable} switch — [false] lets a queue be created while
+    the backend is refusing writes, to be re-armed later.
+    @raise Invalid_argument if [compact_every < 1]. *)
 
 val push : t -> epoch:int -> string -> entry
 (** Append one message sealed under group [epoch]; returns the entry
@@ -112,10 +98,9 @@ val resolved : t -> int
 
 val size : t -> int
 val contents : t -> string
-val eio_retries : t -> int
 val file : t -> string
 
-type event =
+type event = Log.event =
   | Appended of string  (** One framed record extended the image. *)
   | Published of string  (** The whole image was replaced. *)
 
@@ -127,12 +112,16 @@ val set_observer : t -> (event -> unit) option -> unit
 val set_durable : t -> bool -> unit
 (** Degraded-mode switch. With durability off, mutations keep evolving
     the in-memory image but nothing touches the backend — the disk
-    image goes stale. Re-arm with [set_durable t true] followed by
-    {!compact}, which republishes the whole image atomically. *)
+    image goes stale until {!rearm}. *)
 
 val durable : t -> bool
 
-val replay : ?mac_key:string -> string -> record list * status
+val rearm : t -> bool
+(** Durability back on and {!compact}, which republishes the whole
+    image atomically; [false] (and durability back off) if the store
+    still refuses it with [No_space] or [Stalled]. *)
+
+val replay : string -> record list * status
 (** Decode the longest valid prefix of arbitrary bytes. Total: never
     raises. *)
 
@@ -142,7 +131,6 @@ val state_of_records : record list -> state
     damaged image can never resurrect an acknowledged delivery. *)
 
 val recover :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?disk:Backend.t ->
   ?file:string ->
@@ -152,7 +140,6 @@ val recover :
     fresh queue already compacted to a snapshot of that state. *)
 
 val load :
-  ?mac_key:string ->
   ?compact_every:int ->
   ?file:string ->
   disk:Backend.t ->

@@ -67,19 +67,13 @@ type t = {
   disk : Backend.t option;
   file : string;
   mutable slots : int option array;  (* decoded epoch per slot *)
-  mutable eio_retries : int;
 }
 
-let max_eio_retries = 8
-
-let with_retry t f =
-  let rec go attempt =
-    try f ()
-    with Backend.Eio _ when attempt < max_eio_retries ->
-      t.eio_retries <- t.eio_retries + 1;
-      go (attempt + 1)
-  in
-  go 0
+(* Write [bytes] at [off] and fsync. Both calls are idempotent, so a
+   transient EIO simply re-issues them. *)
+let write d ~file ~off bytes =
+  Log.with_retry (fun () -> Backend.pwrite d ~file ~off bytes);
+  Log.with_retry (fun () -> Backend.fsync d ~file)
 
 let get t =
   Array.fold_left
@@ -106,31 +100,22 @@ let decode_image bytes =
 let publish t =
   match t.disk with
   | None -> ()
-  | Some d ->
-      let bytes = contents t in
-      with_retry t (fun () -> Backend.pwrite d ~file:t.file ~off:0 bytes);
-      with_retry t (fun () -> Backend.fsync d ~file:t.file)
+  | Some d -> write d ~file:t.file ~off:0 (contents t)
 
 let of_bytes ?(file = default_file) ?disk bytes =
-  let t = { disk; file; slots = decode_image bytes; eio_retries = 0 } in
+  let t = { disk; file; slots = decode_image bytes } in
   publish t;
   t
 
+(* An existing non-empty image is adopted as is; otherwise the empty
+   image is published. *)
 let create ?(file = default_file) ?disk () =
-  match disk with
-  | Some d -> (
-      match Backend.read d ~file with
-      | Some bytes when String.length bytes > 0 ->
-          { disk; file; slots = decode_image bytes; eio_retries = 0 }
-      | Some _ | None ->
-          let t = { disk; file; slots = [| None; None |]; eio_retries = 0 } in
-          publish t;
-          t)
-  | None -> { disk; file; slots = [| None; None |]; eio_retries = 0 }
+  match Option.bind disk (fun d -> Backend.read d ~file) with
+  | Some bytes when String.length bytes > 0 ->
+      { disk; file; slots = decode_image bytes }
+  | Some _ | None -> of_bytes ~file ?disk ""
 
 let load ?(file = default_file) ~disk () = create ~file ~disk ()
-
-let eio_retries t = t.eio_retries
 
 (* Overwrite the slot NOT holding the current maximum, so a crash at
    any byte of this write leaves the previous maximum decodable. *)
@@ -147,8 +132,7 @@ let put t epoch =
     match t.disk with
     | None -> ()
     | Some d ->
-        let off = header_len + (victim * slot_len) in
-        let bytes = encode_slot ~index:victim epoch in
-        with_retry t (fun () -> Backend.pwrite d ~file:t.file ~off bytes);
-        with_retry t (fun () -> Backend.fsync d ~file:t.file)
+        write d ~file:t.file
+          ~off:(header_len + (victim * slot_len))
+          (encode_slot ~index:victim epoch)
   end

@@ -406,6 +406,29 @@ let qcheck_tests =
         && D.total_queue_depth d = 0
         && D.view_converged d);
   ]
+  @
+  (* The record log's totality properties, on an uncompacted queue of
+     pushes, acks and drops. *)
+  let q = Q.create ~compact_every:10_000 () in
+  let records =
+    List.concat
+      (List.init 30 (fun i ->
+           let e = Q.push q ~epoch:(i / 4) (Printf.sprintf "payload-%d" i) in
+           let push = Q.Push e in
+           if i mod 7 = 6 then begin
+             Q.ack q ~upto:(e.Q.seq - 2);
+             [ push; Q.Ack { upto = e.Q.seq - 2 } ]
+           end
+           else if i mod 5 = 4 then begin
+             Q.drop q ~seq:e.Q.seq;
+             [ push; Q.Drop { seq = e.Q.seq } ]
+           end
+           else [ push ]))
+  in
+  Test_journal.totality_properties ~log:"queue" ~image:(Q.contents q) ~records
+    ~replay:Q.replay ~equal:Q.record_equal ~recover_append:(fun bytes ->
+      let q, _, _ = Q.recover bytes in
+      ignore (Q.push q ~epoch:0 "after"))
 
 let suite =
   [

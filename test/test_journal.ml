@@ -31,13 +31,15 @@ let records_equal got want =
   List.length got = List.length want
   && List.for_all2 J.record_equal got want
 
-let is_prefix got orig =
+let prefix_by equal got orig =
   let rec go = function
     | [], _ -> true
     | _ :: _, [] -> false
-    | g :: gs, o :: os -> J.record_equal g o && go (gs, os)
+    | g :: gs, o :: os -> equal g o && go (gs, os)
   in
   go (got, orig)
+
+let is_prefix = prefix_by J.record_equal
 
 let test_roundtrip () =
   let orig = sample_records 23 in
@@ -160,45 +162,50 @@ let test_torn_tail_write () =
 
 (* --- properties --- *)
 
-let property_bytes = J.contents (journal_of (sample_records 40))
-let property_records = sample_records 40
-
-let qcheck_tests =
+(* The totality properties of a record log, given the bytes of an
+   uncompacted log, the records they hold, and the log's entry points.
+   The journal runs them here; the delivery queue in its own suite. *)
+let totality_properties ~log ~image ~records ~replay ~equal ~recover_append =
+  let is_prefix got = prefix_by equal got records in
   [
-    QCheck.Test.make ~name:"replay of truncated journal recovers a prefix"
+    QCheck.Test.make
+      ~name:(Printf.sprintf "replay of truncated %s recovers a prefix" log)
       ~count:300
-      QCheck.(int_range 0 (String.length property_bytes))
-      (fun cut ->
-        let got, _ = J.replay (String.sub property_bytes 0 cut) in
-        is_prefix got property_records);
+      QCheck.(int_range 0 (String.length image))
+      (fun cut -> is_prefix (fst (replay (String.sub image 0 cut))));
     QCheck.Test.make ~name:"replay survives any single-bit corruption"
       ~count:500
-      QCheck.(pair (int_range 0 (String.length property_bytes - 1)) (int_range 0 7))
+      QCheck.(pair (int_range 0 (String.length image - 1)) (int_range 0 7))
       (fun (i, bit) ->
-        let b = Bytes.of_string property_bytes in
+        let b = Bytes.of_string image in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-        let got, _ = J.replay (Bytes.to_string b) in
-        is_prefix got property_records);
+        is_prefix (fst (replay (Bytes.to_string b))));
     QCheck.Test.make ~name:"replay survives arbitrary bytes" ~count:500
       QCheck.string (fun s ->
-        let got, _ = J.replay s in
         (* Arbitrary bytes almost never checksum; whatever does decode
            must still be internally consistent — no raise is the real
            assertion. *)
-        List.length got >= 0);
+        List.length (fst (replay s)) >= 0);
     QCheck.Test.make ~name:"recover is total and appendable" ~count:200
-      QCheck.(pair (int_range 0 (String.length property_bytes)) (int_range 0 7))
+      QCheck.(pair (int_range 0 (String.length image)) (int_range 0 7))
       (fun (cut, bit) ->
-        let b = Bytes.of_string (String.sub property_bytes 0 cut) in
+        let b = Bytes.of_string (String.sub image 0 cut) in
         if Bytes.length b > 0 then begin
           let i = cut / 2 in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
         end;
-        let j, st, _ = J.recover (Bytes.to_string b) in
-        J.append j (J.Session_closed { member = "anyone" });
-        ignore st;
+        recover_append (Bytes.to_string b);
         true);
   ]
+
+let qcheck_tests =
+  let records = sample_records 40 in
+  totality_properties ~log:"journal"
+    ~image:(J.contents (journal_of records))
+    ~records ~replay:J.replay ~equal:J.record_equal
+    ~recover_append:(fun bytes ->
+      let j, _, _ = J.recover bytes in
+      J.append j (J.Session_closed { member = "anyone" }))
 
 let suite =
   [

@@ -247,6 +247,108 @@ let test_crash_matrix_bounded () =
     (r.Crash_matrix.damaged > 0);
   Alcotest.(check bool) "checkpoints verified" true (r.Crash_matrix.checkpoints > 5)
 
+(* --- format pins: every durable structure's bytes and backend ops ---
+
+   Each structure runs a seeded workload against a crash-point
+   recorder. The pin is the digest of the final durable disk (every
+   file, by name), the number of backend operations logged, and the
+   digest of the rendered operation log. A change to framing,
+   checksums, compaction or write order moves at least one of the
+   three. *)
+
+let pinned workload =
+  let mem = Store.Mem.create () in
+  let r = Store.Crashpoint.recorder mem in
+  workload (Store.Crashpoint.handle r);
+  let digest s = Digest.to_hex (Digest.string s) in
+  let disk =
+    String.concat ""
+      (List.map
+         (fun (file, bytes) -> file ^ "\000" ^ bytes ^ "\000")
+         (Store.Mem.crash_image mem))
+  in
+  let ops = Store.Crashpoint.ops r in
+  let log =
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Store.Crashpoint.pp_op) ops)
+  in
+  Printf.sprintf "%s %d %s" (digest disk) (List.length ops) (digest log)
+
+let pin_key rng = String.init 16 (fun _ -> Char.chr (Prng.Splitmix.next_int rng 256))
+
+let journal_workload disk =
+  let rng = Prng.Splitmix.create 21L in
+  let j = J.create ~compact_every:5 ~disk () in
+  for i = 0 to 13 do
+    let m = Printf.sprintf "m%d" (i mod 3) in
+    J.append j
+      (match i mod 3 with
+      | 0 -> J.Session_established { member = m; key = pin_key rng }
+      | 1 -> J.Epoch_bump { key = pin_key rng; epoch = i }
+      | _ -> J.Session_closed { member = m })
+  done;
+  J.compact j;
+  J.append j (J.Epoch_bump { key = pin_key rng; epoch = 99 })
+
+let queue_workload disk =
+  let rng = Prng.Splitmix.create 22L in
+  let q = Store.Queue.create ~compact_every:5 ~disk ~file:"queue-m1" () in
+  for i = 1 to 12 do
+    let e = Store.Queue.push q ~epoch:(i / 3) (pin_key rng) in
+    if i = 4 then Store.Queue.ack q ~upto:(e.Store.Queue.seq - 1);
+    if i = 7 then Store.Queue.drop q ~seq:e.Store.Queue.seq
+  done;
+  Store.Queue.ack q ~upto:(Store.Queue.next_seq q - 2);
+  Store.Queue.drop q ~seq:(Store.Queue.next_seq q - 1)
+
+let vault_workload disk =
+  let v = Store.Vault.create ~disk () in
+  List.iter (Store.Vault.put v) [ 1; 2; 5; 3; 9; 10 ];
+  ignore (Store.Vault.of_bytes ~file:"vault-copy" ~disk (Store.Vault.contents v))
+
+let replica_workload disk =
+  let rng = Prng.Splitmix.create 23L in
+  let key = Sym_crypto.Key.fresh Sym_crypto.Key.Long_term rng in
+  let j = J.create ~compact_every:4 () in
+  let wire = Queue.create () in
+  let source =
+    Replication.Source.create ~self:"m0" ~backups:[ "b1" ] ~term:1 ~key ~rng
+      ~send:(fun f -> Queue.push f wire)
+      ~journal:j ()
+  in
+  let replica =
+    Replication.Replica.create ~self:"b1" ~primary:"m0" ~key ~rng ~disk ()
+  in
+  let pump () =
+    while not (Queue.is_empty wire) do
+      List.iter
+        (Replication.Source.handle_frame source)
+        (Replication.Replica.handle_frame replica (Queue.pop wire))
+    done
+  in
+  for i = 1 to 9 do
+    J.append j (J.Epoch_bump { key = pin_key rng; epoch = i });
+    if i mod 4 = 0 then
+      Replication.Source.ship_queue_image source ~file:"queue-m1"
+        (Printf.sprintf "image-%d" i);
+    pump ()
+  done
+
+let test_format_pins () =
+  List.iter
+    (fun (name, workload, pin) ->
+      Alcotest.(check string) name pin (pinned workload))
+    [
+      ("journal", journal_workload,
+       "b9ee04f4dba7e78abadaf46c851f7320 42 0a7c6959160288556f2b5dd6e145b28d");
+      ("queue", queue_workload,
+       "4dd787ba1f178a440166b069bbd4713e 40 5ea23cb36940bd250ae8e7f54cdf38c4");
+      ("vault", vault_workload,
+       "8fb3a895b3217d175276baf26101d0db 14 285b94e64542028dc6a9feb68981bb85");
+      ("replica", replica_workload,
+       "a1b6ae4436f655939804be8f03937342 36 9f2b393d5ef53c7390cd325482a6946a");
+    ]
+
 (* --- the headline property: Mem and File agree byte for byte --- *)
 
 (* A random journal workload: establishes, closes, bumps and explicit
@@ -339,6 +441,7 @@ let suite =
           ("journal absorbs transient EIO", test_journal_retries_transient_eio);
           ("crashpoint: durable_at matches the device", test_crashpoint_durable_at_matches_mem);
           ("crash matrix: bounded run, no violations", test_crash_matrix_bounded);
+          ("format pins: journal, queue, vault and replica images", test_format_pins);
         ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_tests );
   ]
